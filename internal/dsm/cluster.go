@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"actdsm/internal/memlayout"
@@ -182,12 +183,6 @@ type Cluster struct {
 	// release fan-out — overriding the last-writer heuristic's decision
 	// for the same page — and clear once the episode succeeds.
 	queuedHomes map[int32]int32
-	// ftNotices, ftHomeMoved, and ftHomeSkipped stash the latest FT
-	// barrier attempt's notice union and queued-home accounting so the
-	// successful attempt's values are committed exactly once (attempts
-	// recompute them; a crashed attempt's values are overwritten).
-	ftNotices                  []msg.Notice
-	ftHomeMoved, ftHomeSkipped int64
 
 	// viewMu guards the membership view below. Failover routing takes
 	// the read side on protocol paths; refreshView and the rejoin
@@ -195,8 +190,9 @@ type Cluster struct {
 	viewMu sync.RWMutex
 	// dead[i] is true while node i is crashed out of the view.
 	dead []bool
-	// viewVer counts membership changes (diagnostics).
-	viewVer int64
+	// viewVer counts membership changes. Written under viewMu; read
+	// lock-free by the failover retry rule (failoverRetry).
+	viewVer atomic.Int64
 
 	// serviceHold, when non-zero, makes the page-serve paths hold the
 	// page's shard lock for this extra duration per request. Set only by
@@ -624,17 +620,19 @@ func (c *Cluster) EndTracking(node int) {
 // Tracking reports whether a node is in an active tracking phase.
 func (c *Cluster) Tracking(node int) bool { return c.nodes[node].as.Tracking() }
 
-// Barrier runs one global barrier episode: every node closes its current
-// interval and sends its accumulated write notices to the barrier manager
-// (node 0), which broadcasts the union; every node invalidates accordingly.
-// If the stored diff volume exceeds the GC threshold, a garbage-collection
-// round follows. The returned slice holds each node's virtual-time cost
-// for the episode.
+// Barrier runs one global barrier episode over the alive set (every
+// node unless Config.FaultTolerance has marked some dead): every node
+// closes its current interval and sends its accumulated write notices to
+// the barrier manager (the lowest alive id — node 0 in a fault-free
+// run), which broadcasts the union; every node invalidates accordingly.
+// If the stored diff volume exceeds the GC threshold, a
+// garbage-collection round follows. The returned slice holds each node's
+// virtual-time cost for the episode.
 //
 // Both broadcast phases (enter fan-in and release fan-out) run their
-// transport calls in parallel across nodes — directly against node 0 in
-// the flat topology, level by level along the tree's edges when
-// Config.BarrierArity selects a tree. Each phase is retried up to
+// transport calls in parallel across nodes — directly against the
+// manager in the flat topology, level by level along the tree's edges
+// when Config.BarrierArity selects a tree. Each phase is retried up to
 // Config.BarrierRetries additional times on failure: a retried phase
 // re-sends every notice, and receivers deduplicate (the fold by node id
 // and (page, writer, interval); release receivers through the
@@ -644,24 +642,156 @@ func (c *Cluster) Tracking(node int) bool { return c.nodes[node].as.Tracking() }
 // transport-call numbering under SerialFanOut a pure function of the
 // attempt count (the contract chaos-plan replay depends on; see
 // transport.RecordingPlan).
+//
+// Under fault tolerance the episode also rejoins scheduled restarts at
+// entry, and a node death mid-episode re-runs the whole attempt over the
+// shrunk alive set (see failoverRetry). Attempt re-runs are safe for the
+// same reason phase retries are: every receiver folds idempotently, and
+// fresh/known clear only after the whole episode succeeds.
 func (c *Cluster) Barrier() ([]sim.Time, error) {
-	if c.cfg.FaultTolerance {
-		return c.barrierFT()
-	}
-	nnodes := c.cfg.Nodes
-	costs := make([]sim.Time, nnodes)
+	ft := c.cfg.FaultTolerance
+	costs := make([]sim.Time, c.cfg.Nodes)
 	episode := c.episode
 	c.episode++
-	const mgr = 0
-	tree := c.cfg.BarrierArity >= 2 && nnodes > 1
+	if ft {
+		// Scheduled restarts arm at the start of their episode.
+		for _, s := range c.cfg.Chaos.Crashes {
+			if s.RestartsAt(int64(episode)) && c.isDead(s.Node) {
+				w, err := c.rejoinNode(s.Node)
+				if err != nil {
+					return nil, err
+				}
+				costs[s.Node] += w
+			}
+		}
+		if c.refreshView() > 0 {
+			c.stats.RecoveryRounds.Add(1)
+		}
+	}
+
+	var res barrierResult
+	err := c.overAlive(func() (err error) {
+		res, err = c.barrierAttempt(episode, costs)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The episode succeeded: commit exactly the final attempt's notice
+	// union to the write history and consume the queued home moves.
+	c.recordWriteHistory(res.notices)
+	c.commitQueuedHomes(res.homeMoved, res.homeSkipped)
+
+	alive := c.aliveList()
+	if c.pushEnabled() {
+		// Applying pushed diffs happened inside serveBarrierRelease;
+		// charge each node's accumulated apply cost to this episode.
+		for _, i := range alive {
+			n := c.nodes[i]
+			n.lockSync()
+			costs[i] += n.pushCost
+			n.pushCost = 0
+			n.mu.Unlock()
+		}
+	}
+	for _, i := range alive {
+		costs[i] += c.costs.BarrierBase
+	}
+	// The episode is fully delivered: every node's notices are now
+	// everywhere, so pending flush state, causal histories, and the
+	// per-epoch replication marks restart together.
+	for _, i := range alive {
+		n := c.nodes[i]
+		n.lockSync()
+		n.fresh = nil
+		n.known = nil
+		n.knownHave = make(map[[3]int32]bool)
+		for j := range n.sentKnown {
+			n.sentKnown[j] = 0
+		}
+		for j := range n.lockPos {
+			n.lockPos[j] = 0
+		}
+		n.lockMark = make(map[int32]int)
+		n.replSent = 0
+		n.mu.Unlock()
+		if ft {
+			n.lockMgrMu.Lock()
+			n.shadow = make(map[int]*mgrLog)
+			n.lockMgrMu.Unlock()
+			n.replMu.Lock()
+			n.replKnown = make(map[int][]msg.Notice)
+			n.replLockMark = make(map[int]map[int32]int)
+			n.replMu.Unlock()
+		}
+	}
+	c.stats.Barriers.Add(1)
+
+	if c.cfg.GCThresholdBytes >= 0 {
+		var total int64
+		for _, i := range alive {
+			total += c.nodes[i].diffBytes.Load()
+		}
+		if total > int64(c.cfg.GCThresholdBytes) {
+			// A re-run after a mid-collection death is idempotent:
+			// consolidation re-fetches only still-pending diffs and the
+			// collect re-drops already-empty stores.
+			if err := c.overAlive(func() error { return c.collectGarbage(costs) }); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if ft {
+		// A crash whose scheduled call fell inside this episode may never
+		// fail a protocol call — the victim can die after its last
+		// participation (its enter already folded, no release or GC call
+		// addressed it). Reconcile with the chaos layer before threads
+		// resume, so the engine migrates the victim's threads at THIS
+		// barrier and routing sees the death before the first
+		// post-barrier fault, not when a call from the dead node is
+		// refused mid-interval.
+		c.refreshView()
+	}
+	return costs, nil
+}
+
+// barrierResult is what a successful barrier attempt hands back for the
+// episode to commit once: the sorted notice union and the queued-home
+// accounting.
+type barrierResult struct {
+	notices                []msg.Notice
+	homeMoved, homeSkipped int64
+}
+
+// pushEnabled reports whether barrier releases piggyback pushed diffs.
+func (c *Cluster) pushEnabled() bool {
+	return c.cfg.PrefetchBudget != 0 && c.cfg.Protocol == MultiWriter
+}
+
+// barrierAttempt runs one attempt of the barrier's phases over the
+// current alive set. The tree positions of the k-ary topology are
+// indices into the alive list (root = position 0), so the tree stays
+// complete however membership shrinks; without failures the alive list
+// is 0..Nodes-1 and positions are node ids.
+func (c *Cluster) barrierAttempt(episode int32, costs []sim.Time) (barrierResult, error) {
+	var res barrierResult
+	ft := c.cfg.FaultTolerance
+	alive := c.aliveList()
+	na := len(alive)
+	if na == 0 {
+		return res, errors.New("dsm: barrier with no alive nodes")
+	}
+	root := alive[0]
+	tree := c.cfg.BarrierArity >= 2 && na > 1
+	pushEnabled := c.pushEnabled()
 
 	c.barrierMu.Lock()
 	for i := range c.barriers {
 		c.barriers[i] = barrierState{
 			episode: episode,
-			entered: make(map[int32]bool, nnodes),
+			entered: make(map[int32]bool, na),
 			have:    make(map[[3]int32]bool),
-			hot:     make(map[int32][]int32, nnodes),
+			hot:     make(map[int32][]int32, na),
 		}
 	}
 	c.barrierMu.Unlock()
@@ -671,9 +801,8 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 	// succeeds, so a retried episode — whether a phase retry below or the
 	// application calling Barrier again after an error — re-sends every
 	// notice; receivers deduplicate.
-	enters := make([]*msg.BarrierEnter, nnodes)
-	pushEnabled := c.cfg.PrefetchBudget != 0 && c.cfg.Protocol == MultiWriter
-	for i := 0; i < nnodes; i++ {
+	enters := make([]*msg.BarrierEnter, c.cfg.Nodes)
+	for _, i := range alive {
 		n := c.nodes[i]
 		// The predictor may consult the placement engine; compute it
 		// before touching node state to keep lock order one-way.
@@ -681,7 +810,15 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		if pushEnabled && c.prefetchPredict != nil {
 			pred = c.prefetchPredict(i)
 		}
-		_, diffCost := n.closeInterval()
+		closed, diffCost := n.closeInterval()
+		costs[i] += diffCost
+		if ft {
+			w, err := c.replicate(n, closed)
+			if err != nil {
+				return res, err
+			}
+			costs[i] += w
+		}
 		n.lockSync()
 		enters[i] = &msg.BarrierEnter{
 			Node:    int32(i),
@@ -690,27 +827,30 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 			Notices: append([]msg.Notice(nil), n.fresh...),
 		}
 		n.mu.Unlock()
-		costs[i] += diffCost
 		if pushEnabled {
 			// After closeInterval the node's own dirty pages are
 			// clean again, so its prediction covers them too.
 			enters[i].Hot = n.hotPages(pred)
 		}
 	}
+	if ft {
+		c.contributeDead(enters)
+	}
 
 	// Phase 2: enter fan-in — flat to the manager, or aggregated up the
 	// tree level by level.
 	var err error
 	if tree {
-		err = c.broadcast(func() error { return c.treeEnterPhase(episode, enters, costs) })
+		err = c.broadcast(func() error { return c.treeEnterPhase(episode, alive, enters, costs) })
 	} else {
 		err = c.broadcast(func() error {
-			return fanOut(nnodes, c.cfg.SerialFanOut, func(i int) error {
-				if i == mgr {
-					_, err := c.nodes[mgr].serveBarrierEnter(enters[mgr])
+			return fanOut(na, c.cfg.SerialFanOut, func(j int) error {
+				i := alive[j]
+				if i == root {
+					_, err := c.nodes[root].serveBarrierEnter(enters[root])
 					return err
 				}
-				_, wire, err := c.call(i, mgr, enters[i])
+				_, wire, err := c.call(i, root, enters[i])
 				if err != nil {
 					return fmt.Errorf("dsm: barrier enter node %d: %w", i, err)
 				}
@@ -720,17 +860,21 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		})
 	}
 	if err != nil {
-		return nil, err
+		return res, err
 	}
 
 	c.barrierMu.Lock()
-	if got := len(c.barriers[mgr].entered); got != nnodes {
-		c.barrierMu.Unlock()
-		return nil, fmt.Errorf("dsm: barrier episode %d: %d/%d entered", episode, got, nnodes)
+	entered := c.barriers[root].entered
+	for _, i := range alive {
+		if !entered[int32(i)] {
+			got := len(entered)
+			c.barrierMu.Unlock()
+			return res, fmt.Errorf("dsm: barrier episode %d: %d/%d entered, node %d missing", episode, got, na, i)
+		}
 	}
-	notices := append([]msg.Notice(nil), c.barriers[mgr].notices...)
-	lam := c.barriers[mgr].lam
-	hot := c.barriers[mgr].hot
+	notices := append([]msg.Notice(nil), c.barriers[root].notices...)
+	lam := c.barriers[root].lam
+	hot := c.barriers[root].hot
 	c.barrierMu.Unlock()
 	// The parallel fan-in makes arrival order nondeterministic; sort the
 	// union so the release broadcast (and everything downstream of its
@@ -745,7 +889,6 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		}
 		return a.Page < b.Page
 	})
-	c.recordWriteHistory(notices)
 	// Home migration: derive this episode's ownership moves from the
 	// sorted union; the decisions ride the release fan-out so every
 	// node applies them while its threads are still parked. The
@@ -753,9 +896,10 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 	// overriding the last-writer heuristic where both speak.
 	var homes []msg.PageHome
 	if c.cfg.HomeMigration {
-		homes = c.migrationDecisions(notices)
+		homes = c.migrationDecisions(c.nodes[root], notices, ft)
 	}
-	homes, qMoved, qSkipped := c.queuedHomeDecisions(c.nodes[0], homes)
+	homes, res.homeMoved, res.homeSkipped = c.queuedHomeDecisions(c.nodes[root], homes)
+	res.notices = notices
 	// Piggybacked push: the manager batch-fetches the diffs each node's
 	// prediction (BarrierEnter.Hot) will need — coalesced to at most one
 	// DiffBatchRequest per writer for the whole cluster — and rides them
@@ -766,9 +910,9 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		var pcost sim.Time
 		push, pcost, err = c.collectPushDiffs(hot, notices)
 		if err != nil {
-			return nil, fmt.Errorf("dsm: barrier push collect: %w", err)
+			return res, fmt.Errorf("dsm: barrier push collect: %w", err)
 		}
-		costs[mgr] += pcost
+		costs[root] += pcost
 	}
 
 	// Phase 3: release fan-out. serveBarrierRelease is idempotent
@@ -777,23 +921,24 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 	// re-deliver to some nodes are harmless.
 	if tree {
 		err = c.broadcast(func() error {
-			return c.treeReleasePhase(episode, lam, notices, homes, push, costs)
+			return c.treeReleasePhase(episode, lam, alive, notices, homes, push, costs)
 		})
 	} else {
-		releases := make([]*msg.BarrierRelease, nnodes)
-		for i := 0; i < nnodes; i++ {
-			releases[i] = &msg.BarrierRelease{
+		releases := make([]*msg.BarrierRelease, na)
+		for j, i := range alive {
+			releases[j] = &msg.BarrierRelease{
 				Episode: episode, Lam: lam, Notices: notices,
 				Push: push[int32(i)], Homes: homes,
 			}
 		}
 		err = c.broadcast(func() error {
-			return fanOut(nnodes, c.cfg.SerialFanOut, func(i int) error {
-				if i == mgr {
-					_, err := c.nodes[i].serveBarrierRelease(releases[i])
+			return fanOut(na, c.cfg.SerialFanOut, func(j int) error {
+				i := alive[j]
+				if i == root {
+					_, err := c.nodes[i].serveBarrierRelease(releases[j])
 					return err
 				}
-				_, wire, err := c.call(mgr, i, releases[i])
+				_, wire, err := c.call(root, i, releases[j])
 				if err != nil {
 					return fmt.Errorf("dsm: barrier release node %d: %w", i, err)
 				}
@@ -803,59 +948,20 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		})
 	}
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	c.commitQueuedHomes(qMoved, qSkipped)
-	if pushEnabled {
-		// Applying pushed diffs happened inside serveBarrierRelease;
-		// charge each node's accumulated apply cost to this episode.
-		for i, n := range c.nodes {
-			n.lockSync()
-			costs[i] += n.pushCost
-			n.pushCost = 0
-			n.mu.Unlock()
-		}
+	if ft {
+		err = c.standbyMigratedHomes(homes, costs)
 	}
-	for i := 0; i < nnodes; i++ {
-		costs[i] += c.costs.BarrierBase
-	}
-	// The episode is fully delivered: every node's notices are now
-	// everywhere, so pending flush state and causal histories restart.
-	for _, n := range c.nodes {
-		n.lockSync()
-		n.fresh = nil
-		n.known = nil
-		n.knownHave = make(map[[3]int32]bool)
-		for i := range n.sentKnown {
-			n.sentKnown[i] = 0
-		}
-		for i := range n.lockPos {
-			n.lockPos[i] = 0
-		}
-		n.lockMark = make(map[int32]int)
-		n.mu.Unlock()
-	}
-	c.stats.Barriers.Add(1)
-
-	if c.cfg.GCThresholdBytes >= 0 {
-		var total int64
-		for _, n := range c.nodes {
-			total += n.diffBytes.Load()
-		}
-		if total > int64(c.cfg.GCThresholdBytes) {
-			if err := c.collectGarbage(costs); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return costs, nil
+	return res, err
 }
 
-// treeParent returns node i's parent in the k-ary barrier tree rooted
-// at node 0 (children of i are k*i+1 .. k*i+k).
+// treeParent returns position i's parent in the k-ary barrier tree
+// rooted at position 0 (children of i are k*i+1 .. k*i+k). Positions
+// index the episode's alive list.
 func treeParent(i, k int) int { return (i - 1) / k }
 
-// isDescendant reports whether node x lies in node of's subtree
+// isDescendant reports whether position x lies in position of's subtree
 // (inclusive) of the k-ary barrier tree.
 func isDescendant(x, of, k int) bool {
 	for x > of {
@@ -864,7 +970,7 @@ func isDescendant(x, of, k int) bool {
 	return x == of
 }
 
-// treeLevels partitions nodes 1..n-1 into tree levels, shallowest
+// treeLevels partitions positions 1..n-1 into tree levels, shallowest
 // first. Level d of the heap-numbered complete k-ary tree holds the
 // k^d consecutive indices starting at (k^d - 1) / (k - 1).
 func treeLevels(n, k int) [][]int {
@@ -894,22 +1000,22 @@ func treeLevels(n, k int) [][]int {
 // keeping failure messages deterministic. The edge order (level, then
 // index) is fixed across attempts, so under SerialFanOut the
 // transport-call sequence of attempt k is identical for every run.
-func (c *Cluster) treeEnterPhase(episode int32, enters []*msg.BarrierEnter, costs []sim.Time) error {
-	nnodes := c.cfg.Nodes
+func (c *Cluster) treeEnterPhase(episode int32, alive []int, enters []*msg.BarrierEnter, costs []sim.Time) error {
 	k := c.cfg.BarrierArity
-	for i := 0; i < nnodes; i++ {
+	for _, i := range alive {
 		if _, err := c.nodes[i].serveBarrierEnter(enters[i]); err != nil {
 			return err
 		}
 	}
-	levels := treeLevels(nnodes, k)
+	levels := treeLevels(len(alive), k)
 	var firstErr error
 	for li := len(levels) - 1; li >= 0; li-- {
 		lvl := levels[li]
 		err := fanOut(len(lvl), c.cfg.SerialFanOut, func(j int) error {
-			child := lvl[j]
+			child := alive[lvl[j]]
+			parent := alive[treeParent(lvl[j], k)]
 			agg := c.buildEnterAggregate(child, episode)
-			_, wire, err := c.call(child, treeParent(child, k), agg)
+			_, wire, err := c.call(child, parent, agg)
 			if err != nil {
 				return fmt.Errorf("dsm: barrier enter relay node %d: %w", child, err)
 			}
@@ -956,27 +1062,27 @@ func (c *Cluster) buildEnterAggregate(node int, episode int32) *msg.BarrierEnter
 // children ask for theirs) relays one edge down. A parent whose stored
 // release is missing or stale means its own inbound edge failed this
 // attempt; the error propagates and the whole phase retries.
-func (c *Cluster) treeReleasePhase(episode, lam int32, notices []msg.Notice, homes []msg.PageHome, push map[int32][]msg.PushedDiff, costs []sim.Time) error {
-	nnodes := c.cfg.Nodes
+func (c *Cluster) treeReleasePhase(episode, lam int32, alive []int, notices []msg.Notice, homes []msg.PageHome, push map[int32][]msg.PushedDiff, costs []sim.Time) error {
 	k := c.cfg.BarrierArity
+	root := alive[0]
 	rel0 := &msg.BarrierRelease{
 		Episode: episode, Lam: lam, Notices: notices,
-		Push: push[0], Homes: homes,
+		Push: push[int32(root)], Homes: homes,
 	}
-	for i := 1; i < nnodes; i++ {
+	for _, i := range alive[1:] {
 		if len(push[int32(i)]) > 0 {
 			rel0.Relay = append(rel0.Relay, msg.NodePush{Node: int32(i), Push: push[int32(i)]})
 		}
 	}
-	if _, err := c.nodes[0].serveBarrierRelease(rel0); err != nil {
+	if _, err := c.nodes[root].serveBarrierRelease(rel0); err != nil {
 		return err
 	}
 	var firstErr error
-	for _, lvl := range treeLevels(nnodes, k) {
+	for _, lvl := range treeLevels(len(alive), k) {
 		err := fanOut(len(lvl), c.cfg.SerialFanOut, func(j int) error {
-			child := lvl[j]
-			parent := treeParent(child, k)
-			rel, err := c.buildChildRelease(parent, child, episode, k)
+			child := alive[lvl[j]]
+			parent := alive[treeParent(lvl[j], k)]
+			rel, err := c.buildChildRelease(parent, lvl[j], alive, episode)
 			if err != nil {
 				return err
 			}
@@ -998,7 +1104,9 @@ func (c *Cluster) treeReleasePhase(episode, lam int32, notices []msg.Notice, hom
 // the episode payload (notices, Lamport clock, home moves) from the
 // parent's stored release, the child's own push list lifted out of the
 // relay table, and the relay entries for the child's own subtree.
-func (c *Cluster) buildChildRelease(parent, child int, episode int32, k int) (*msg.BarrierRelease, error) {
+// childPos is the child's position in the alive list; relay entries name
+// node ids, which map back to positions through the sorted alive list.
+func (c *Cluster) buildChildRelease(parent, childPos int, alive []int, episode int32) (*msg.BarrierRelease, error) {
 	c.barrierMu.Lock()
 	defer c.barrierMu.Unlock()
 	src := c.barriers[parent].rel
@@ -1009,10 +1117,10 @@ func (c *Cluster) buildChildRelease(parent, child int, episode int32, k int) (*m
 		Episode: episode, Lam: src.Lam, Notices: src.Notices, Homes: src.Homes,
 	}
 	for _, np := range src.Relay {
-		switch {
-		case int(np.Node) == child:
+		switch pos := sort.SearchInts(alive, int(np.Node)); {
+		case pos == childPos:
 			rel.Push = np.Push
-		case isDescendant(int(np.Node), child, k):
+		case isDescendant(pos, childPos, c.cfg.BarrierArity):
 			rel.Relay = append(rel.Relay, np)
 		}
 	}
@@ -1028,26 +1136,16 @@ func (c *Cluster) buildChildRelease(parent, child int, episode int32, k int) (*m
 // interval that produced the notice, so it necessarily holds a current
 // copy of its own writes; any other writers' diffs it pulls on demand
 // when first serving the page, exactly as the static manager would.
-func (c *Cluster) migrationDecisions(notices []msg.Notice) []msg.PageHome {
-	return c.migrationDecisionsFrom(c.nodes[0], notices)
-}
-
-// migrationDecisionsFrom is migrationDecisions reading the current home
-// table from an explicit reference node (the FT barrier's root may not
-// be node 0).
-func (c *Cluster) migrationDecisionsFrom(root *node, notices []msg.Notice) []msg.PageHome {
-	return c.migrationDecisionsAll(root, notices, false)
-}
-
-// migrationDecisionsAll is migrationDecisionsFrom with an option to
-// announce every written page's last-writer home, including ones the
-// root's table already records. The FT barrier needs the full set: a
-// crash mid-release leaves the decisions applied on some nodes (the
-// root among them) and not others, and a re-run that filtered against
-// the root's updated table would drop exactly the entries the
-// un-released nodes are missing, leaving home directories divergent.
-// HomeMigrations still counts only actual moves.
-func (c *Cluster) migrationDecisionsAll(root *node, notices []msg.Notice, all bool) []msg.PageHome {
+//
+// root is the barrier manager whose home table the decisions are
+// compared against. By default only changed homes are announced; all
+// announces every written page's last-writer home. Fault tolerance
+// needs the full set: a crash mid-release leaves the decisions applied
+// on some nodes (the root among them) and not others, and a re-run that
+// filtered against the root's updated table would drop exactly the
+// entries the un-released nodes are missing, leaving home directories
+// divergent. HomeMigrations counts only actual moves either way.
+func (c *Cluster) migrationDecisions(root *node, notices []msg.Notice, all bool) []msg.PageHome {
 	last := make(map[int32]msg.Notice)
 	for _, nt := range notices {
 		cur, ok := last[nt.Page]
@@ -1077,9 +1175,9 @@ func (c *Cluster) migrationDecisionsAll(root *node, notices []msg.Notice, all bo
 }
 
 // recordWriteHistory folds one completed episode's sorted notice union
-// into the per-(page, writer) write history. Callers invoke it exactly
-// once per episode (the FT barrier records only the successful attempt),
-// so the history counts each write notice once.
+// into the per-(page, writer) write history. Barrier invokes it exactly
+// once per episode, for the successful attempt only, so the history
+// counts each write notice once.
 func (c *Cluster) recordWriteHistory(notices []msg.Notice) {
 	c.histMu.Lock()
 	for _, nt := range notices {
@@ -1154,7 +1252,7 @@ func (c *Cluster) QueueHomeMoves(moves map[int]int) error {
 // queuedHomeDecisions folds the queued explicit home moves into an
 // episode's decision set, reading current homes from root. The queue is
 // left intact (commitQueuedHomes consumes it after the episode
-// succeeds; FT attempts may re-run this). Returns the merged decisions
+// succeeds; a re-run barrier attempt recomputes this). Returns the merged decisions
 // plus how many queued moves actually change a home and how many were
 // dropped (dead target, or target without a page copy).
 func (c *Cluster) queuedHomeDecisions(root *node, homes []msg.PageHome) ([]msg.PageHome, int64, int64) {
@@ -1216,13 +1314,21 @@ func (c *Cluster) commitQueuedHomes(moved, skipped int64) {
 }
 
 // collectGarbage consolidates every page that has stored diffs at its
-// current home, then broadcasts GCCollect: all nodes drop the page's
-// diffs and non-home replicas are invalidated (causing the extra remote
-// faults the paper attributes to GC).
+// current home, then broadcasts GCCollect over the alive set: all nodes
+// drop the page's diffs and non-home replicas are invalidated (causing
+// the extra remote faults the paper attributes to GC). Under fault
+// tolerance the page set also covers replicated diffs, pages
+// consolidate at their effective home, and the home's standby refreshes
+// its full copy before the drop broadcast, so the two-copy invariant
+// survives the collection (the collect spares the standby's copy while
+// still dropping every stored and replicated diff).
 func (c *Cluster) collectGarbage(costs []sim.Time) error {
 	c.stats.GCRounds.Add(1)
+	ft := c.cfg.FaultTolerance
+	alive := c.aliveList()
 	pageSet := make(map[vm.PageID]bool)
-	for _, n := range c.nodes {
+	for _, i := range alive {
+		n := c.nodes[i]
 		for s := range n.shards {
 			sh := &n.shards[s]
 			sh.mu.RLock()
@@ -1230,6 +1336,15 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 				pageSet[p] = true
 			}
 			sh.mu.RUnlock()
+		}
+		if ft {
+			n.replMu.Lock()
+			for _, pm := range n.replDiffs {
+				for p := range pm {
+					pageSet[p] = true
+				}
+			}
+			n.replMu.Unlock()
 		}
 	}
 	pages := make([]vm.PageID, 0, len(pageSet))
@@ -1239,7 +1354,8 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 
 	for _, p := range pages {
-		mgr := c.nodes[c.nodes[0].home(p)]
+		hm := c.nodes[alive[0]].effHome(p)
+		mgr := c.nodes[hm]
 		sh := mgr.rlockShard(p)
 		pending := append([]msg.Notice(nil), mgr.pages[p].pending...)
 		sh.runlock()
@@ -1260,7 +1376,19 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 			sh.mu.Unlock()
 		}
 		mgr.setCharge(nil, 0)
-		costs[mgr.id] += ti.Stall + ti.Overhead
+		costs[hm] += ti.Stall + ti.Overhead
+
+		if ft {
+			// Refresh the standby's full copy before diffs drop, so a
+			// later failover still finds a current image.
+			if s := c.aliveSucc(hm); s != hm {
+				w, err := c.nodes[s].serverFetch(p)
+				if err != nil {
+					return fmt.Errorf("dsm: gc standby refresh page %d: %w", p, err)
+				}
+				costs[s] += w
+			}
+		}
 
 		// Parallel collect broadcast. serveGCCollect is idempotent
 		// (dropping absent diffs and re-invalidating are no-ops), so
@@ -1268,12 +1396,13 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 		// GCCollections stays exactly-once per page.
 		collect := &msg.GCCollect{Page: int32(p)}
 		err := c.broadcast(func() error {
-			return fanOut(len(c.nodes), c.cfg.SerialFanOut, func(i int) error {
-				if i == mgr.id {
+			return fanOut(len(alive), c.cfg.SerialFanOut, func(j int) error {
+				i := alive[j]
+				if i == hm {
 					_, err := c.nodes[i].serveGCCollect(collect)
 					return err
 				}
-				_, wire, err := c.call(mgr.id, i, collect)
+				_, wire, err := c.call(hm, i, collect)
 				if err != nil {
 					return fmt.Errorf("dsm: gc collect page %d node %d: %w", p, i, err)
 				}
@@ -1300,6 +1429,7 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 	var mgr int
 	var failover bool
 	for attempt := 0; ; attempt++ {
+		ver := c.viewVersion()
 		mgr = c.effLockManager(lock)
 		failover = mgr != c.lockManager(lock)
 		n.lockSync()
@@ -1331,7 +1461,7 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 		if err == nil {
 			break
 		}
-		if c.cfg.FaultTolerance && isNodeDown(err) && attempt < c.cfg.Nodes && c.refreshView() > 0 {
+		if c.failoverRetry(err, attempt, mgr, ver) {
 			continue // the manager died; re-resolve against the new view
 		}
 		return 0, fmt.Errorf("dsm: node %d acquire lock %d: %w", node, lock, err)
@@ -1393,6 +1523,7 @@ func (c *Cluster) pullLockHistory(node int, lock int32, holder int, seen []int32
 		// The holder named by the grant may be dead (or die under us):
 		// its ring successor serves the pull from the replicated history
 		// marked at the holder's last shadow release.
+		ver := c.viewVersion()
 		target := holder
 		if c.cfg.FaultTolerance && c.isDead(holder) {
 			target = c.aliveSucc(holder)
@@ -1412,7 +1543,7 @@ func (c *Cluster) pullLockHistory(node int, lock int32, holder int, seen []int32
 		if err == nil {
 			break
 		}
-		if c.cfg.FaultTolerance && isNodeDown(err) && attempt < c.cfg.Nodes && c.refreshView() > 0 {
+		if c.failoverRetry(err, attempt, target, ver) {
 			continue
 		}
 		return 0, fmt.Errorf("dsm: node %d pull lock %d from holder %d: %w", node, lock, holder, err)
@@ -1453,10 +1584,11 @@ func (c *Cluster) ReleaseLock(node, tid int, lock int32) (sim.Time, error) {
 		cost += w
 	}
 	for attempt := 0; ; attempt++ {
+		ver := c.viewVersion()
 		mgr := c.effLockManager(lock)
 		wire, err := c.releaseLockTo(n, lock, mgr)
 		if err != nil {
-			if c.cfg.FaultTolerance && isNodeDown(err) && attempt < c.cfg.Nodes && c.refreshView() > 0 {
+			if c.failoverRetry(err, attempt, mgr, ver) {
 				// The manager died mid-release; re-ship to its successor.
 				// Per-target sentKnown marks make the re-send carry
 				// everything the new manager has not yet seen.

@@ -1,6 +1,9 @@
 package dsm
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -447,6 +450,12 @@ func TestFailoverImperativeRestart(t *testing.T) {
 // while a manager crashes and later rejoins, under both the single-shard
 // and sharded page-service locking modes. Run with -race; the assertion
 // is the absence of data races plus a coherent final state.
+//
+// Application code — a span, its fault handling, and the write through
+// its window — runs one thread at a time, as the thread engine runs it
+// (see package threads): a remote page serve on a node may never overlap
+// that node's own span. Everything else (lock acquires and releases,
+// replication, shadow releases, serves, failover retries) races freely.
 func TestFailoverHammerRace(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		name := "shards1"
@@ -468,6 +477,16 @@ func TestFailoverHammerRace(t *testing.T) {
 
 			words := npages * memlayout.PageSize / 4
 			var wg sync.WaitGroup
+			var app sync.Mutex // one application thread at a time
+			write := func(node, w int, x float32) error {
+				app.Lock()
+				defer app.Unlock()
+				b, _, err := c.Span(node, node, w*4, 4, vm.Write)
+				if err == nil {
+					memlayout.ViewF32(b).Set(0, x)
+				}
+				return err
+			}
 			workers := []int{0, 2, 3}
 			phase := make(chan struct{}) // closed when the victim is dead
 			for _, node := range workers {
@@ -482,12 +501,10 @@ func TestFailoverHammerRace(t *testing.T) {
 							return
 						}
 						w := (i*nodes + node) % words
-						b, _, err := c.Span(node, node, w*4, 4, vm.Write)
-						if err != nil {
+						if err := write(node, w, float32(node*1000+i)); err != nil {
 							t.Error(err)
 							return
 						}
-						memlayout.ViewF32(b).Set(0, float32(node*1000+i))
 						if _, err := c.ReleaseLock(node, node, lk); err != nil {
 							t.Error(err)
 							return
@@ -503,7 +520,9 @@ func TestFailoverHammerRace(t *testing.T) {
 				if _, err := c.AcquireLock(victim, victim, int32(victim)); err != nil {
 					t.Fatal(err)
 				}
-				wf32(t, c, victim, victim, i, float32(i))
+				if err := write(victim, i, float32(i)); err != nil {
+					t.Fatal(err)
+				}
 				if _, err := c.ReleaseLock(victim, victim, int32(victim)); err != nil {
 					t.Fatal(err)
 				}
@@ -530,5 +549,276 @@ func TestFailoverHammerRace(t *testing.T) {
 				t.Fatal("hammer never exercised a failover")
 			}
 		})
+	}
+}
+
+// holdTransport parks the first call of one message kind addressed to
+// one node before it reaches the transport, until the test lets it go.
+// Killing that node while the call is parked reproduces a call already
+// in flight to the victim when Kill records the death in the view: the
+// call then fails with ErrNodeDown and its caller's own view refresh
+// discovers nothing new.
+type holdTransport struct {
+	transport.Transport
+	kind   msg.Kind
+	to     int
+	once   sync.Once
+	held   chan struct{} // closed once the armed call is parked
+	resume chan struct{} // closed by the test to release it
+}
+
+func (h *holdTransport) Call(from, to int, payload []byte) ([]byte, error) {
+	if to == h.to && len(payload) > 0 && msg.Kind(payload[0]) == h.kind {
+		h.once.Do(func() {
+			close(h.held)
+			<-h.resume
+		})
+	}
+	return h.Transport.Call(from, to, payload)
+}
+
+// TestFailoverInFlightKill pins the failover rule at every retry site: a
+// call addressed to a node that a concurrent Kill marks dead before the
+// call returns must fail over to the node's standby, not error. Each
+// case parks one protocol call to the victim, kills the victim while it
+// is parked, and then lets it reach the (now crashed) transport.
+func TestFailoverInFlightKill(t *testing.T) {
+	const nodes, npages, victim = 4, 4, 1
+	page := func(p int) int { return p * memlayout.PageSize / 4 }
+	span := func(c *Cluster, node, word int, a vm.Access) error {
+		_, _, err := c.Span(node, node, word*4, 4, a)
+		return err
+	}
+	cases := []struct {
+		name      string
+		kind      msg.Kind
+		migration bool
+		setup     func(t *testing.T, c *Cluster)
+		op        func(c *Cluster) error
+		failover  bool // the op's recovery counts a Failovers
+	}{
+		{
+			name: "lock acquire", kind: msg.KindLockAcquire, failover: true,
+			op: func(c *Cluster) error { _, err := c.AcquireLock(0, 0, victim); return err },
+		},
+		{
+			name: "lock release", kind: msg.KindLockRelease, failover: true,
+			setup: func(t *testing.T, c *Cluster) {
+				if _, err := c.AcquireLock(0, 0, victim); err != nil {
+					t.Fatal(err)
+				}
+				wf32(t, c, 0, 0, page(0), 1)
+			},
+			op: func(c *Cluster) error { _, err := c.ReleaseLock(0, 0, victim); return err },
+		},
+		{
+			// Lock 3's manager is node 3, so node 0's release reaches the
+			// victim only as the shadow copy for node 3's standby.
+			name: "shadow release", kind: msg.KindLockRelease,
+			setup: func(t *testing.T, c *Cluster) {
+				if _, err := c.AcquireLock(0, 0, 3); err != nil {
+					t.Fatal(err)
+				}
+				wf32(t, c, 0, 0, page(0), 1)
+			},
+			op: func(c *Cluster) error { _, err := c.ReleaseLock(0, 0, 3); return err },
+		},
+		{
+			// Node 0's ring successor is the victim.
+			name: "replicate", kind: msg.KindReplicaDelta, failover: true,
+			setup: func(t *testing.T, c *Cluster) {
+				if _, err := c.AcquireLock(0, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+				wf32(t, c, 0, 0, page(0), 1)
+			},
+			op: func(c *Cluster) error { _, err := c.ReleaseLock(0, 0, 0); return err },
+		},
+		{
+			// Page 1's home is the victim; node 0 holds no copy.
+			name: "page fetch", kind: msg.KindPageRequest, failover: true,
+			op: func(c *Cluster) error { return span(c, 0, page(1), vm.Read) },
+		},
+		{
+			// Node 0 holds a stale copy of page 2 whose pending notice
+			// names the victim as writer.
+			name: "diff fetch", kind: msg.KindDiffRequest, failover: true,
+			setup: func(t *testing.T, c *Cluster) {
+				rf32(t, c, 0, 0, page(2))
+				wf32(t, c, victim, victim, page(2), 7)
+				barrier(t, c)
+			},
+			op: func(c *Cluster) error { return span(c, 0, page(2), vm.Read) },
+		},
+		{
+			// Grant forwarding names the victim as lock 0's last holder.
+			name: "lock pull", kind: msg.KindLockPull, migration: true, failover: true,
+			setup: func(t *testing.T, c *Cluster) {
+				if _, err := c.AcquireLock(victim, victim, 0); err != nil {
+					t.Fatal(err)
+				}
+				wf32(t, c, victim, victim, page(0), 3)
+				if _, err := c.ReleaseLock(victim, victim, 0); err != nil {
+					t.Fatal(err)
+				}
+			},
+			op: func(c *Cluster) error { _, err := c.AcquireLock(3, 3, 0); return err },
+		},
+		{
+			name: "barrier release", kind: msg.KindBarrierRelease,
+			op: func(c *Cluster) error { _, err := c.Barrier(); return err },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ftConfig(nodes, npages, nil)
+			cfg.HomeMigration = tc.migration
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = c.Close() }()
+			if tc.setup != nil {
+				tc.setup(t, c)
+			}
+			h := &holdTransport{Transport: c.tr, kind: tc.kind, to: victim,
+				held: make(chan struct{}), resume: make(chan struct{})}
+			c.tr = h
+			before := c.Stats().Snapshot().Failovers
+			done := make(chan error, 1)
+			go func() { done <- tc.op(c) }()
+			select {
+			case <-h.held:
+			case err := <-done:
+				t.Fatalf("op finished without a %v call to node %d (err %v)", tc.kind, victim, err)
+			}
+			if err := c.Kill(victim); err != nil {
+				t.Fatal(err)
+			}
+			close(h.resume)
+			if err := <-done; err != nil {
+				t.Fatalf("call in flight to node %d during Kill did not fail over: %v", victim, err)
+			}
+			if got := c.Stats().Snapshot().Failovers - before; tc.failover && got == 0 {
+				t.Fatal("recovery did not count a failover")
+			}
+			barrier(t, c)
+			if err := c.CheckCoherence(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// ftLegitimateDiffs names every counter that may differ between a
+// fault-free FaultTolerance run and a non-FT run of the same workload,
+// with the reason. Every other counter must match exactly.
+var ftLegitimateDiffs = map[string]string{
+	"ReplicaDeltas": "standby replication ships a delta after every interval close",
+	"ReplicaBytes":  "the bytes of those replica deltas",
+	"RecoveryFetches": "the GC standby refresh (and the migrated-home standby seed) " +
+		"are server-side full-page fetches",
+	"PageFetches": "every page starts with a second copy at its home's ring standby, " +
+		"saving that node's first-touch fetch; the standby refreshes add fetches",
+	"RemoteMisses": "the pre-seeded standby copies, and standby copies a GC collect " +
+		"spares, serve reads that miss without FT",
+	"CoherenceFaults": "the same pre-seeded and spared standby copies take no fault",
+	"Messages": "replica deltas, shadow lock releases and standby fetches are extra calls; " +
+		"the saved fetches are fewer",
+	"BytesTotal": "the bytes of those extra and saved calls",
+}
+
+// ftDiffWorkload is the lane-write plus lock workload the FT/non-FT
+// differential test runs: every node writes its disjoint lanes each
+// round, then every node increments a per-round lock-protected counter
+// (the lock's manager rotates across nodes), then a barrier.
+func ftDiffWorkload(t *testing.T, c *Cluster, nodes, npages, rounds int) {
+	t.Helper()
+	words := npages * memlayout.PageSize / 4
+	lanes := words - nodes // the top nodes words hold the lock counters
+	for round := 0; round < rounds; round++ {
+		for node := 0; node < nodes; node++ {
+			for k := 0; k < 6; k++ {
+				w := (node*19 + k*31 + round*57) % lanes
+				w += node - w%nodes
+				if w < lanes {
+					wf32(t, c, node, node, w, float32(round*1000+node*100+k))
+				}
+			}
+		}
+		lock := int32(round % nodes)
+		for node := 0; node < nodes; node++ {
+			if _, err := c.AcquireLock(node, node, lock); err != nil {
+				t.Fatal(err)
+			}
+			w := lanes + int(lock)
+			wf32(t, c, node, node, w, rf32(t, c, node, node, w)+1)
+			if _, err := c.ReleaseLock(node, node, lock); err != nil {
+				t.Fatal(err)
+			}
+		}
+		barrier(t, c)
+	}
+}
+
+// TestFailoverFaultFreeMatchesNonFT is the differential guard on the
+// single barrier/GC path: fault tolerance with no crash and a non-FT
+// cluster are two variants of one program, so across {flat, binary
+// tree} x {home migration off, on} x {GC every barrier, GC off} they
+// must end with byte-identical memory and identical protocol counters
+// apart from the FT upkeep named in ftLegitimateDiffs.
+func TestFailoverFaultFreeMatchesNonFT(t *testing.T) {
+	const nodes, npages, rounds = 4, 8, 6
+	for _, arity := range []int{0, 2} {
+		for _, migration := range []bool{false, true} {
+			for _, gc := range []int{1, -1} {
+				name := fmt.Sprintf("arity%d/migration=%v/gc=%d", arity, migration, gc)
+				t.Run(name, func(t *testing.T) {
+					run := func(ft bool) ([]byte, Counters) {
+						cfg := Config{
+							Nodes: nodes, Pages: npages, SerialFanOut: true,
+							BarrierArity: arity, HomeMigration: migration,
+							GCThresholdBytes: gc,
+						}
+						if ft {
+							cfg.FaultTolerance = true
+							cfg.Chaos = &transport.ChaosOptions{}
+						}
+						c, err := New(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer func() { _ = c.Close() }()
+						ftDiffWorkload(t, c, nodes, npages, rounds)
+						counters := c.Stats().Snapshot().Counters()
+						mem, _, err := c.Span(0, 0, 0, npages*memlayout.PageSize, vm.Read)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return append([]byte(nil), mem...), counters
+					}
+					memOff, off := run(false)
+					memOn, on := run(true)
+					if !bytes.Equal(memOff, memOn) {
+						t.Fatal("final memory differs between FT and non-FT runs")
+					}
+					if off.Barriers != rounds || off.GCRounds != on.GCRounds || off.Barriers != on.Barriers {
+						t.Fatalf("Barriers %d/%d, GCRounds %d/%d (non-FT/FT), want %d barriers",
+							off.Barriers, on.Barriers, off.GCRounds, on.GCRounds, rounds)
+					}
+					if gc > 0 && off.GCRounds == 0 {
+						t.Fatal("GC every barrier never collected")
+					}
+					vOff, vOn := reflect.ValueOf(off), reflect.ValueOf(on)
+					for i := 0; i < vOff.NumField(); i++ {
+						f := vOff.Type().Field(i).Name
+						a, b := vOff.Field(i).Interface(), vOn.Field(i).Interface()
+						if _, ok := ftLegitimateDiffs[f]; !ok && !reflect.DeepEqual(a, b) {
+							t.Errorf("%s = %v without FT, %v with FT", f, a, b)
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -561,6 +561,7 @@ func (n *node) fetchFullPage(tid int, p vm.PageID, src ApplySource) error {
 		wire  sim.Time
 	)
 	for attempt := 0; ; attempt++ {
+		ver := c.viewVersion()
 		mgr := n.effHome(p)
 		sh := n.rlockShard(p)
 		req := &msg.PageRequest{From: int32(n.id), Page: int32(p)}
@@ -570,7 +571,7 @@ func (n *node) fetchFullPage(tid int, p vm.PageID, src ApplySource) error {
 		var err error
 		reply, wire, err = c.call(n.id, mgr, req)
 		if err != nil {
-			if c.cfg.FaultTolerance && isNodeDown(err) && attempt < c.cfg.Nodes && c.refreshView() > 0 {
+			if c.failoverRetry(err, attempt, mgr, ver) {
 				c.stats.Failovers.Add(1)
 				continue // home died mid-fetch: re-resolve to its standby
 			}
@@ -671,6 +672,7 @@ func (n *node) fetchAndApplyDiffs(tid int, p vm.PageID, pending []msg.Notice, sr
 				wire  sim.Time
 			)
 			for attempt := 0; ; attempt++ {
+				ver := c.viewVersion()
 				target := int(w)
 				if c.cfg.FaultTolerance && c.isDead(target) {
 					// The writer is dead: its replicated diff store on
@@ -685,7 +687,7 @@ func (n *node) fetchAndApplyDiffs(tid int, p vm.PageID, pending []msg.Notice, sr
 					reply, wire, err = c.call(n.id, target, req)
 				}
 				if err != nil {
-					if c.cfg.FaultTolerance && isNodeDown(err) && attempt < c.cfg.Nodes && c.refreshView() > 0 {
+					if c.failoverRetry(err, attempt, target, ver) {
 						c.stats.Failovers.Add(1)
 						continue
 					}
