@@ -55,70 +55,28 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'
 
-## bench-compare: the benchmark regression gate. Reruns the
-## demand-vs-prefetch comparison (SOR and Ocean, 8 nodes, test scale),
-## rewrites BENCH_prefetch.json, and fails on a >5% demand-call
-## regression against the committed baseline; reruns the
-## decentralized-manager comparison (flat vs tree barrier at 64 nodes,
-## centralized vs sharded locks), rewrites BENCH_managers.json, and
-## fails if the tree-barrier depth exceeds 2*ceil(log2 n) or the
-## sharded lock spread re-concentrates on node 0; reruns the serving
-## placement ablation (ServeKV, 16 clients over 4 nodes: static vs
-## min-cost vs home-migration placement), rewrites BENCH_serving.json,
-## and fails on a >5% QPS or p99 regression per row or if
-## home-migration stops beating static placement on p99 and QPS;
-## reruns the placement-v2 controller ablation (static vs thread-only
-## vs data-only vs combined on Ocean-under-GC and ServeKV over a
-## fast/slow topology), rewrites BENCH_placement.json, and fails on a
-## >5% elapsed or demand-call regression per row or if the combined
-## controller stops beating both single-sided variants on at least one
-## workload; reruns the crash-recovery comparison (fault-free vs crash vs
-## crash+rejoin), rewrites BENCH_failover.json, and fails if the leg
-## digests diverge (a crashed run must reproduce the fault-free memory
-## byte for byte) or the recovery call counts drift; then
-## reruns the hot-path locking comparison and fails if the sharded
-## speedup falls below the floor or the steady-state message encode
-## starts allocating; then reruns the transport wire-discipline
-## comparison over real TCP sockets and fails if the mux-over-serialized
-## speedup falls below the floor, the steady-state mux round trip starts
-## allocating, or the deterministic heterogeneous-topology leg (SOR over
-## a fast/slow cluster: virtual elapsed times and per-link call/byte
-## traffic) diverges from the committed baseline. The prefetch,
-## managers, serving, and placement runs are deterministic (virtual
-## time), so
-## regenerate-and-compare is stable; the hotpath and transport runs are
-## compare-only (no -json rewrite): their TCP-leg numbers are wall-clock
-## and vary between machines, so the committed BENCH_hotpath.json and
-## BENCH_transport.json only change deliberately via 'make
-## bench-hotpath' / 'make bench-transport'.
+## bench-compare: rerun every benchmark lane (experiments.Lanes) and gate
+## it against its committed BENCH_<lane>.json. DET_LANES run in virtual
+## time, so they are rewritten in place and must stay byte-identical (CI
+## fails on any diff). WALL_LANES time real work, which varies between
+## machines, so they are compared only; regenerate them deliberately on
+## a quiet machine with 'make bench-hotpath' / 'make bench-transport'.
+DET_LANES = prefetch managers serving placement failover
+WALL_LANES = hotpath transport
 bench-compare:
-	$(GO) run ./cmd/actbench -only prefetch \
-		-prefetch-json BENCH_prefetch.json \
-		-prefetch-baseline BENCH_prefetch.json
-	$(GO) run ./cmd/actbench -only managers \
-		-managers-json BENCH_managers.json \
-		-managers-baseline BENCH_managers.json
-	$(GO) run ./cmd/actbench -only serving \
-		-serving-json BENCH_serving.json \
-		-serving-baseline BENCH_serving.json
-	$(GO) run ./cmd/actbench -only placement \
-		-placement-json BENCH_placement.json \
-		-placement-baseline BENCH_placement.json
-	$(GO) run ./cmd/actbench -only failover \
-		-failover-json BENCH_failover.json \
-		-failover-baseline BENCH_failover.json
-	$(GO) run ./cmd/actbench -only hotpath \
-		-hotpath-baseline BENCH_hotpath.json
-	$(GO) run ./cmd/actbench -only transport \
-		-transport-baseline BENCH_transport.json
+	set -e; for lane in $(DET_LANES); do \
+		$(GO) run ./cmd/actbench -only $$lane -json BENCH_$$lane.json -baseline BENCH_$$lane.json; \
+	done; \
+	for lane in $(WALL_LANES); do \
+		$(GO) run ./cmd/actbench -only $$lane -baseline BENCH_$$lane.json; \
+	done
 
 ## bench-hotpath: regenerate the committed BENCH_hotpath.json (sharded
 ## vs single-mutex service throughput + encode allocs/op). Run on a
 ## quiet machine: generation targets >= 1.5x, the CI gate tolerates
 ## noisy shared runners down to 1.3x.
 bench-hotpath:
-	$(GO) run ./cmd/actbench -only hotpath \
-		-hotpath-json BENCH_hotpath.json
+	$(GO) run ./cmd/actbench -only hotpath -json BENCH_hotpath.json
 
 ## bench-transport: regenerate the committed BENCH_transport.json (mux
 ## vs serialized wire discipline over real TCP + mux round-trip
@@ -126,8 +84,7 @@ bench-hotpath:
 ## quiet machine: generation targets >= 1.5x, the CI gate tolerates
 ## noisy shared runners down to 1.3x.
 bench-transport:
-	$(GO) run ./cmd/actbench -only transport \
-		-transport-json BENCH_transport.json
+	$(GO) run ./cmd/actbench -only transport -json BENCH_transport.json
 
 ## fuzz-smoke: run every fuzz target briefly (FUZZTIME each, default
 ## 10s). Catches codec and diff-application regressions without a long

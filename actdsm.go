@@ -287,27 +287,6 @@ type (
 	MapSummary = experiments.MapSummary
 	// PrefetchRow is one application's demand-vs-prefetch comparison.
 	PrefetchRow = experiments.PrefetchRow
-	// PrefetchReport is the BENCH_prefetch.json schema.
-	PrefetchReport = experiments.PrefetchReport
-	// HotpathReport is the BENCH_hotpath.json schema.
-	HotpathReport = experiments.HotpathReport
-	// TransportReport is the BENCH_transport.json schema.
-	TransportReport = experiments.TransportReport
-	// TransportLink is one directed link's deterministic traffic in the
-	// transport report's heterogeneous leg.
-	TransportLink = experiments.TransportLink
-	// ManagersReport is the BENCH_managers.json schema.
-	ManagersReport = experiments.ManagersReport
-	// ServingReport is the BENCH_serving.json schema.
-	ServingReport = experiments.ServingReport
-	// ServingRow is one placement variant's serving measurements.
-	ServingRow = experiments.ServingRow
-	// PlacementReport is the BENCH_placement.json schema.
-	PlacementReport = experiments.PlacementReport
-	// PlacementWorkload is one workload's placement-ablation rows.
-	PlacementWorkload = experiments.PlacementWorkload
-	// PlacementRow is one controller configuration's measurements.
-	PlacementRow = experiments.PlacementRow
 )
 
 // Summarize computes a MapSummary for a correlation matrix.
@@ -328,40 +307,7 @@ var (
 	Figure2 = experiments.Figure2
 	Figure3 = experiments.Figure3
 
-	PrefetchComparison       = experiments.PrefetchComparison
-	PrefetchReportJSON       = experiments.PrefetchReportJSON
-	ComparePrefetchReports   = experiments.ComparePrefetchReports
-	FormatPrefetchComparison = experiments.FormatPrefetchComparison
-
-	HotpathComparison     = experiments.HotpathComparison
-	HotpathReportJSON     = experiments.HotpathReportJSON
-	CompareHotpathReports = experiments.CompareHotpathReports
-	FormatHotpathReport   = experiments.FormatHotpathReport
-
-	TransportComparison     = experiments.TransportComparison
-	TransportReportJSON     = experiments.TransportReportJSON
-	CompareTransportReports = experiments.CompareTransportReports
-	FormatTransportReport   = experiments.FormatTransportReport
-
-	ManagersComparison     = experiments.ManagersComparison
-	ManagersReportJSON     = experiments.ManagersReportJSON
-	CompareManagersReports = experiments.CompareManagersReports
-	FormatManagersReport   = experiments.FormatManagersReport
-
-	ServingComparison     = experiments.ServingComparison
-	ServingReportJSON     = experiments.ServingReportJSON
-	CompareServingReports = experiments.CompareServingReports
-	FormatServingReport   = experiments.FormatServingReport
-
-	PlacementComparison     = experiments.PlacementComparison
-	PlacementReportJSON     = experiments.PlacementReportJSON
-	ComparePlacementReports = experiments.ComparePlacementReports
-	FormatPlacementReport   = experiments.FormatPlacementReport
-
-	FailoverComparison     = experiments.FailoverComparison
-	FailoverReportJSON     = experiments.FailoverReportJSON
-	CompareFailoverReports = experiments.CompareFailoverReports
-	FormatFailoverReport   = experiments.FormatFailoverReport
+	PrefetchComparison = experiments.PrefetchComparison
 
 	AblationHeuristics = experiments.AblationHeuristics
 	AblationScaling    = experiments.AblationScaling

@@ -4,39 +4,26 @@
 //
 //	actbench [-scale test|paper] [-threads N] [-nodes N] [-configs N]
 //	         [-seed N] [-apps a,b,c] [-only table2,figure3] [-maps-dir DIR]
+//	         [-json FILE] [-baseline FILE]
 //
-// With no -only flag every experiment runs in paper order. -scale test
-// (the default) finishes in seconds; -scale paper uses the Table 1 inputs
-// and can take tens of minutes. The extra "transport" section (not part
-// of the paper) prints per-message-type call statistics — counts, wire
-// bytes, retries, and latency quantiles — for one run over each
-// transport. The "prefetch" section compares demand-only runs against
-// the correlation-driven prefetch + batched-diff layer (DESIGN.md §7) on
-// SOR and Ocean; -prefetch-json writes the comparison to a file
-// (BENCH_prefetch.json in CI) and -prefetch-baseline fails the run when
-// the prefetch configuration's demand calls regress more than 5% against
-// a committed baseline. The "managers" section compares the flat
-// single-manager barrier against the tree topology and centralized
-// against sharded lock management (DESIGN.md §10); -managers-json and
-// -managers-baseline drive the deterministic BENCH_managers.json gate
-// the same way. The "serving" section runs the online KV workload
-// (internal/serve, DESIGN.md §11) under static, min-cost, and
-// home-migration placement and reports throughput plus p50/p99/p999
-// virtual latency; -serving-json and -serving-baseline drive the
-// deterministic BENCH_serving.json gate, which additionally requires
-// home migration to beat static placement on both p99 and QPS. The
-// "failover" section runs the crash-recovery comparison (DESIGN.md §12):
-// the same workload fault-free, with a mid-run node crash, and with a
-// crash plus rejoin — all three legs must produce byte-identical memory;
-// -failover-json and -failover-baseline drive the deterministic
-// BENCH_failover.json gate, which also pins the recovery call counts.
-// The "placement" section runs the placement-v2 controller ablation
-// (DESIGN.md §14) — static, thread-only, data-only, and combined online
-// co-orchestration of thread placement and page homes over a fast/slow
-// topology; -placement-json and -placement-baseline drive the
-// deterministic BENCH_placement.json gate, which also requires the
-// combined controller to beat both single-sided variants on at least
-// one workload.
+// With no -only flag every experiment runs; -only takes a comma-separated
+// list of section names and rejects an unknown one. -scale test (the
+// default) finishes in seconds; -scale paper uses the Table 1 inputs and
+// can take tens of minutes. Beyond the paper, each benchmark lane
+// (experiments.Lanes) measures one extension and gates it against a
+// committed BENCH_<lane>.json: with exactly one lane selected, -json
+// writes the fresh report to a file and -baseline fails the run when the
+// report regresses against a baseline file (the two may name the same
+// file). The lanes:
+//
+//	prefetch   demand vs correlation-driven prefetch + batching (DESIGN.md §7)
+//	hotpath    sharded vs single-mutex service throughput (ARCHITECTURE.md §3–§4)
+//	managers   flat vs tree barrier, centralized vs sharded locks (DESIGN.md §10)
+//	serving    KV serving under static/min-cost/home-migration placement (DESIGN.md §11)
+//	placement  static/thread/data/combined controller ablation (DESIGN.md §14)
+//	failover   crash recovery vs a fault-free run (DESIGN.md §12)
+//	transport  mux vs serialized wire discipline over real TCP (DESIGN.md §13);
+//	           the section first prints per-message-type call statistics
 //
 // The "sor" section runs one observed SOR workload and prints its
 // per-epoch time breakdown (DESIGN.md §9). With -trace-out it writes a
@@ -48,55 +35,82 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	"actdsm"
 	"actdsm/internal/check"
+	"actdsm/internal/experiments"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "actbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// sections are the -only names besides the benchmark lanes.
+var sections = []string{"table1", "table2", "table3", "table4", "table5", "figure2", "figure3", "table6", "ablation", "check", "transport", "sor"}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("actbench", flag.ContinueOnError)
 	var (
-		scaleFlag = flag.String("scale", "test", "input scale: test or paper")
-		threads   = flag.Int("threads", 64, "application threads")
-		nodes     = flag.Int("nodes", 8, "cluster nodes")
-		configs   = flag.Int("configs", 0, "random configurations for Table 2 (0 = default)")
-		seed      = flag.Uint64("seed", 1999, "random seed")
-		appsFlag  = flag.String("apps", "", "comma-separated app subset (default: paper set)")
-		only      = flag.String("only", "", "comma-separated experiments (table1..table6, figure2, figure3, ablation, prefetch, hotpath, managers, serving, placement, failover, check, transport, sor)")
-		mapsDir   = flag.String("maps-dir", "", "write correlation maps as PGM files to this directory")
-		fig1CSV   = flag.String("figure1-csv", "", "write the Figure 1 scatter (Table 2 data) as CSV to this file")
-		prefJSON  = flag.String("prefetch-json", "", "write the prefetch comparison report as JSON to this file")
-		prefBase  = flag.String("prefetch-baseline", "", "compare the prefetch report against this committed baseline; fail on >5% demand-call regression")
-		hotJSON   = flag.String("hotpath-json", "", "write the hot-path locking comparison report as JSON to this file")
-		hotBase   = flag.String("hotpath-baseline", "", "compare the hot-path report against this committed baseline; fail when the sharded speedup or encode allocation floor regresses")
-		mgrJSON   = flag.String("managers-json", "", "write the decentralized-manager comparison report as JSON to this file")
-		mgrBase   = flag.String("managers-baseline", "", "compare the managers report against this committed baseline; fail when the tree-barrier depth or the sharded lock spread regresses")
-		srvJSON   = flag.String("serving-json", "", "write the serving placement-ablation report as JSON to this file")
-		srvBase   = flag.String("serving-baseline", "", "compare the serving report against this committed baseline; fail on >5% QPS/p99 regression or when home migration stops beating static placement")
-		plcJSON   = flag.String("placement-json", "", "write the placement-v2 controller ablation report as JSON to this file")
-		plcBase   = flag.String("placement-baseline", "", "compare the placement report against this committed baseline; fail on >5% elapsed/demand-call regression or when the combined controller stops beating both single-sided variants")
-		ftJSON    = flag.String("failover-json", "", "write the crash-recovery comparison report as JSON to this file")
-		ftBase    = flag.String("failover-baseline", "", "compare the failover report against this committed baseline; fail when the leg digests diverge or the recovery call counts drift")
-		trJSON    = flag.String("transport-json", "", "write the mux-vs-serialized transport comparison report as JSON to this file")
-		trBase    = flag.String("transport-baseline", "", "compare the transport report against this committed baseline; fail when the mux speedup or send-path allocation floor regresses, or the deterministic heterogeneous leg diverges")
-		traceOut  = flag.String("trace-out", "", "write a Perfetto/Chrome trace-event JSON timeline of the sor section to this file")
-		metricOut = flag.String("metrics-out", "", "write a Prometheus-style metrics dump of the sor section to this file")
-		pprofOut  = flag.String("pprof", "", "write a CPU profile of the whole run to this file")
+		scaleFlag = fs.String("scale", "test", "input scale: test or paper")
+		threads   = fs.Int("threads", 64, "application threads")
+		nodes     = fs.Int("nodes", 8, "cluster nodes")
+		configs   = fs.Int("configs", 0, "random configurations for Table 2 (0 = default)")
+		seed      = fs.Uint64("seed", 1999, "random seed")
+		appsFlag  = fs.String("apps", "", "comma-separated app subset (default: paper set)")
+		only      = fs.String("only", "", "comma-separated sections to run (default: all)")
+		mapsDir   = fs.String("maps-dir", "", "write correlation maps as PGM files to this directory")
+		fig1CSV   = fs.String("figure1-csv", "", "write the Figure 1 scatter (Table 2 data) as CSV to this file")
+		jsonOut   = fs.String("json", "", "write the selected benchmark lane's report as JSON to this file")
+		baseline  = fs.String("baseline", "", "gate the selected benchmark lane's report against this committed baseline; fail on regression")
+		traceOut  = fs.String("trace-out", "", "write a Perfetto/Chrome trace-event JSON timeline of the sor section to this file")
+		metricOut = fs.String("metrics-out", "", "write a Prometheus-style metrics dump of the sor section to this file")
+		pprofOut  = fs.String("pprof", "", "write a CPU profile of the whole run to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	valid := slices.Clone(sections)
+	for _, l := range experiments.Lanes {
+		if !slices.Contains(valid, l.Name) {
+			valid = append(valid, l.Name)
+		}
+	}
+	want := map[string]bool{}
+	if *only != "" {
+		for _, e := range strings.Split(*only, ",") {
+			e = strings.TrimSpace(e)
+			if !slices.Contains(valid, e) {
+				return fmt.Errorf("unknown -only section %q (valid: %s)", e, strings.Join(valid, ", "))
+			}
+			want[e] = true
+		}
+	}
+	selected := func(name string) bool { return len(want) == 0 || want[name] }
+	if *jsonOut != "" || *baseline != "" {
+		var lanes []string
+		for _, l := range experiments.Lanes {
+			if selected(l.Name) {
+				lanes = append(lanes, l.Name)
+			}
+		}
+		if len(lanes) != 1 {
+			return fmt.Errorf("-json and -baseline need exactly one benchmark lane selected with -only, got %d: %s",
+				len(lanes), strings.Join(lanes, ", "))
+		}
+	}
 
 	if *pprofOut != "" {
 		f, err := os.Create(*pprofOut)
@@ -127,14 +141,6 @@ func run() error {
 	if *appsFlag != "" {
 		opts.Apps = strings.Split(*appsFlag, ",")
 	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, e := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(e)] = true
-		}
-	}
-	selected := func(name string) bool { return len(want) == 0 || want[name] }
 
 	if selected("table1") {
 		if err := section("Table 1: application characteristics", func() (string, error) {
@@ -267,248 +273,6 @@ func run() error {
 			return err
 		}
 	}
-	if selected("prefetch") {
-		if err := section("Prefetch: demand vs correlation-driven prefetch + batching", func() (string, error) {
-			// Defaults to the acceptance pair (SOR and Ocean) unless
-			// -apps overrides; the committed baseline uses the default.
-			rows, err := actdsm.PrefetchComparison(opts)
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatPrefetchComparison(rows)
-			report, err := actdsm.PrefetchReportJSON(opts, rows)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_prefetch.json.
-			var baseline []byte
-			if *prefBase != "" {
-				baseline, err = os.ReadFile(*prefBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *prefJSON != "" {
-				if err := os.WriteFile(*prefJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *prefJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.ComparePrefetchReports(baseline, report, 0.05)
-				out += "\n-- vs baseline " + *prefBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("hotpath") {
-		if err := section("Hotpath: sharded vs single-mutex service throughput", func() (string, error) {
-			rep, err := actdsm.HotpathComparison()
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatHotpathReport(rep)
-			report, err := actdsm.HotpathReportJSON(rep)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_hotpath.json.
-			var baseline []byte
-			if *hotBase != "" {
-				baseline, err = os.ReadFile(*hotBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *hotJSON != "" {
-				if err := os.WriteFile(*hotJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *hotJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.CompareHotpathReports(baseline, report)
-				out += "\n-- vs baseline " + *hotBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("managers") {
-		if err := section("Managers: flat vs tree barrier, centralized vs sharded locks", func() (string, error) {
-			rep, err := actdsm.ManagersComparison()
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatManagersReport(rep)
-			report, err := actdsm.ManagersReportJSON(rep)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_managers.json.
-			var baseline []byte
-			if *mgrBase != "" {
-				baseline, err = os.ReadFile(*mgrBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *mgrJSON != "" {
-				if err := os.WriteFile(*mgrJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *mgrJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.CompareManagersReports(baseline, report)
-				out += "\n-- vs baseline " + *mgrBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("serving") {
-		if err := section("Serving: KV workload under static/min-cost/home-migration placement", func() (string, error) {
-			rep, err := actdsm.ServingComparison()
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatServingReport(rep)
-			report, err := actdsm.ServingReportJSON(rep)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_serving.json.
-			var baseline []byte
-			if *srvBase != "" {
-				baseline, err = os.ReadFile(*srvBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *srvJSON != "" {
-				if err := os.WriteFile(*srvJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *srvJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.CompareServingReports(baseline, report)
-				out += "\n-- vs baseline " + *srvBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("placement") {
-		if err := section("Placement v2: static/thread/data/combined controller ablation", func() (string, error) {
-			rep, err := actdsm.PlacementComparison()
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatPlacementReport(rep)
-			report, err := actdsm.PlacementReportJSON(rep)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_placement.json.
-			var baseline []byte
-			if *plcBase != "" {
-				baseline, err = os.ReadFile(*plcBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *plcJSON != "" {
-				if err := os.WriteFile(*plcJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *plcJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.ComparePlacementReports(baseline, report)
-				out += "\n-- vs baseline " + *plcBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("failover") {
-		if err := section("Failover: crash recovery vs fault-free baseline", func() (string, error) {
-			rep, err := actdsm.FailoverComparison()
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatFailoverReport(rep)
-			report, err := actdsm.FailoverReportJSON(rep)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_failover.json.
-			var baseline []byte
-			if *ftBase != "" {
-				baseline, err = os.ReadFile(*ftBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *ftJSON != "" {
-				if err := os.WriteFile(*ftJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *ftJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.CompareFailoverReports(baseline, report)
-				out += "\n-- vs baseline " + *ftBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
 	if selected("check") {
 		if err := section("Check: coherence model-checker sweep", func() (string, error) {
 			seeds := 50
@@ -526,41 +290,13 @@ func run() error {
 		}); err != nil {
 			return err
 		}
-		if err := section("Transport: mux vs serialized wire discipline (real TCP)", func() (string, error) {
-			rep, err := actdsm.TransportComparison()
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatTransportReport(rep)
-			report, err := actdsm.TransportReportJSON(rep)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_transport.json.
-			var baseline []byte
-			if *trBase != "" {
-				baseline, err = os.ReadFile(*trBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *trJSON != "" {
-				if err := os.WriteFile(*trJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *trJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.CompareTransportReports(baseline, report)
-				out += "\n-- vs baseline " + *trBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
+	}
+	for _, l := range experiments.Lanes {
+		if !selected(l.Name) {
+			continue
+		}
+		if err := section(l.Title, func() (string, error) {
+			return runLane(l, opts, *jsonOut, *baseline)
 		}); err != nil {
 			return err
 		}
@@ -573,6 +309,42 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// runLane measures one benchmark lane, optionally writes its report to
+// jsonOut, and gates it against the baseline file. The baseline is read
+// before the report is written, so both may name the same committed
+// BENCH_<lane>.json.
+func runLane(l experiments.Lane, opts experiments.Options, jsonOut, baselinePath string) (string, error) {
+	rep, out, err := l.Run(opts)
+	if err != nil {
+		return "", err
+	}
+	report, err := experiments.ReportJSON(rep)
+	if err != nil {
+		return "", err
+	}
+	var baseline []byte
+	if baselinePath != "" {
+		if baseline, err = os.ReadFile(baselinePath); err != nil {
+			return "", err
+		}
+	}
+	if jsonOut != "" {
+		if err := os.WriteFile(jsonOut, report, 0o644); err != nil {
+			return "", err
+		}
+		out += fmt.Sprintf("\n(wrote %s)\n", jsonOut)
+	}
+	if baselinePath != "" {
+		cmp, err := l.Gate(baseline, report)
+		out += "\n-- vs baseline " + baselinePath + " --\n" + cmp
+		if err != nil {
+			fmt.Print(out)
+			return "", err
+		}
+	}
+	return out, nil
 }
 
 // observedSOR runs one deterministic SOR workload with the observability

@@ -24,7 +24,6 @@ package experiments
 // See DESIGN.md §12 and internal/dsm/failoverbench.go.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -112,35 +111,25 @@ func FormatFailoverReport(r FailoverReport) string {
 	return b.String()
 }
 
-// FailoverReportJSON marshals the report for BENCH_failover.json.
-func FailoverReportJSON(r FailoverReport) ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+// failoverLane is the BENCH_failover.json lane.
+var failoverLane = Lane{
+	Name:  "failover",
+	Title: "Failover: crash recovery vs fault-free baseline",
+	Run:   runFixed(FailoverComparison, FormatFailoverReport),
+	Gate:  gate("failover", checkFailover),
 }
 
-// CompareFailoverReports validates a fresh report against the committed
-// baseline. The legs are deterministic, so the gate is strict: the three
-// fresh digests must agree with each other (the fault-tolerance claim
-// itself), the crash legs must actually exercise the machinery (a crash
-// detected, a rejoin completed, failovers and recovery fetches
-// performed), and the digests and call counts must equal the committed
-// ones — a silent protocol change must regenerate the baseline
-// deliberately.
-func CompareFailoverReports(baseline, current []byte) (string, error) {
-	var base, cur FailoverReport
-	if err := json.Unmarshal(baseline, &base); err != nil {
-		return "", fmt.Errorf("baseline: %w", err)
-	}
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return "", fmt.Errorf("current: %w", err)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "digest: clean %s, crash %s, restart %s\n",
+// checkFailover is the failover gate. The legs are deterministic, so
+// the gate is strict: the three fresh digests must agree with each other
+// (the fault-tolerance claim itself), the crash legs must actually
+// exercise the machinery (a crash detected, a rejoin completed,
+// failovers and recovery fetches performed), and the digests and call
+// counts must equal the committed ones — a silent protocol change must
+// regenerate the baseline deliberately.
+func checkFailover(base, cur FailoverReport, b *strings.Builder) []string {
+	fmt.Fprintf(b, "digest: clean %s, crash %s, restart %s\n",
 		cur.Clean.Digest, cur.Crash.Digest, cur.Restart.Digest)
-	fmt.Fprintf(&b, "extra calls: crash %+d (baseline %+d), restart %+d (baseline %+d)\n",
+	fmt.Fprintf(b, "extra calls: crash %+d (baseline %+d), restart %+d (baseline %+d)\n",
 		cur.ExtraCallsCrash, base.ExtraCallsCrash,
 		cur.ExtraCallsRestart, base.ExtraCallsRestart)
 	var failures []string
@@ -180,9 +169,5 @@ func CompareFailoverReports(baseline, current []byte) (string, error) {
 			cur.Clean.Calls, cur.Crash.Calls, cur.Restart.Calls,
 			base.Clean.Calls, base.Crash.Calls, base.Restart.Calls))
 	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("failover benchmark regression:\n  %s",
-			strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
+	return failures
 }

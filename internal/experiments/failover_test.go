@@ -34,11 +34,11 @@ func TestFailoverComparisonGate(t *testing.T) {
 		t.Error("clean leg shipped no replica deltas")
 	}
 
-	js, err := FailoverReportJSON(rep)
+	js, err := ReportJSON(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompareFailoverReports(js, js); err != nil {
+	if _, err := failoverLane.Gate(js, js); err != nil {
 		t.Errorf("report fails its own gate: %v", err)
 	}
 	if out := FormatFailoverReport(rep); !strings.Contains(out, "digests identical") {
@@ -58,11 +58,11 @@ func TestFailoverComparisonDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := FailoverReportJSON(a)
+	ja, err := ReportJSON(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := FailoverReportJSON(b)
+	jb, err := ReportJSON(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,39 +72,16 @@ func TestFailoverComparisonDeterministic(t *testing.T) {
 }
 
 // TestCompareFailoverReportsRejects checks the gate trips on each
-// regression class it claims to catch.
+// regression class it claims to catch, perturbing a freshly measured
+// report rather than the committed one.
 func TestCompareFailoverReportsRejects(t *testing.T) {
 	rep, err := FailoverComparison()
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := FailoverReportJSON(rep)
+	js, err := ReportJSON(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mutate := range map[string]func(*FailoverReport){
-		"digest divergence": func(r *FailoverReport) { r.Crash.Digest = "deadbeefdeadbeef" },
-		"clean leg crashed": func(r *FailoverReport) { r.Clean.Crashes = 1 },
-		"missed crash":      func(r *FailoverReport) { r.Crash.Crashes = 0 },
-		"no failovers":      func(r *FailoverReport) { r.Crash.Failovers = 0 },
-		"missed rejoin":     func(r *FailoverReport) { r.Restart.Rejoins = 0 },
-		"no recovery fetch": func(r *FailoverReport) { r.Restart.RecoveryFetches = 0 },
-		"replication off":   func(r *FailoverReport) { r.Clean.ReplicaDeltas = 0 },
-		"call-count drift":  func(r *FailoverReport) { r.Crash.Calls += 7 },
-		"baseline digest": func(r *FailoverReport) {
-			r.Clean.Digest = "feedfacefeedface"
-			r.Crash.Digest = "feedfacefeedface"
-			r.Restart.Digest = "feedfacefeedface"
-		},
-	} {
-		bad := rep
-		mutate(&bad)
-		js, err := FailoverReportJSON(bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := CompareFailoverReports(base, js); err == nil {
-			t.Errorf("%s: gate passed a regressed report", name)
-		}
-	}
+	checkGateCases(t, failoverLane, js)
 }

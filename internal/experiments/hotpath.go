@@ -15,7 +15,6 @@ package experiments
 // steady-state EncodeTo allocations per message must be ~0.
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -142,34 +141,25 @@ func FormatHotpathReport(r HotpathReport) string {
 	return b.String()
 }
 
-// HotpathReportJSON marshals the report for BENCH_hotpath.json.
-func HotpathReportJSON(r HotpathReport) ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+// hotpathLane is the BENCH_hotpath.json lane.
+var hotpathLane = Lane{
+	Name:  "hotpath",
+	Title: "Hotpath: sharded vs single-mutex service throughput",
+	Run:   runFixed(HotpathComparison, FormatHotpathReport),
+	Gate:  gate("hotpath", checkHotpath),
 }
 
-// CompareHotpathReports validates a fresh report against the committed
-// baseline. Unlike the prefetch gate (deterministic call counts compared
-// byte-for-byte), the hotpath numbers are wall-clock timings that differ
-// between machines, so the gate checks properties rather than values:
-// the fresh speedup must not fall below MinHotpathSpeedup, and the
-// steady-state encode must stay allocation-free (< 0.5 allocs/op). The
-// baseline is reported for context.
-func CompareHotpathReports(baseline, current []byte) (string, error) {
-	var base, cur HotpathReport
-	if err := json.Unmarshal(baseline, &base); err != nil {
-		return "", fmt.Errorf("baseline: %w", err)
-	}
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return "", fmt.Errorf("current: %w", err)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "speedup: baseline %.2fx, current %.2fx (floor %.1fx)\n",
+// checkHotpath is the hotpath gate. Unlike the prefetch gate
+// (deterministic call counts compared against the baseline), the hotpath
+// numbers are wall-clock timings that differ between machines, so the
+// gate checks properties rather than values: the fresh speedup must not
+// fall below MinHotpathSpeedup, and the steady-state encode must stay
+// allocation-free (< 0.5 allocs/op). The baseline is reported for
+// context.
+func checkHotpath(base, cur HotpathReport, b *strings.Builder) []string {
+	fmt.Fprintf(b, "speedup: baseline %.2fx, current %.2fx (floor %.1fx)\n",
 		base.Speedup, cur.Speedup, MinHotpathSpeedup)
-	fmt.Fprintf(&b, "encode allocs/op: baseline %.2f, current %.2f (floor 0.5)\n",
+	fmt.Fprintf(b, "encode allocs/op: baseline %.2f, current %.2f (floor 0.5)\n",
 		base.EncodeAllocsPerOp, cur.EncodeAllocsPerOp)
 	var failures []string
 	if cur.Speedup < MinHotpathSpeedup {
@@ -180,9 +170,5 @@ func CompareHotpathReports(baseline, current []byte) (string, error) {
 		failures = append(failures, fmt.Sprintf(
 			"encode allocates %.2f/op on the steady-state path, want ~0", cur.EncodeAllocsPerOp))
 	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("hotpath benchmark regression:\n  %s",
-			strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
+	return failures
 }

@@ -15,7 +15,6 @@ package experiments
 // See DESIGN.md §10 and internal/dsm/managerbench.go.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -113,35 +112,26 @@ func FormatManagersReport(r ManagersReport) string {
 	return b.String()
 }
 
-// ManagersReportJSON marshals the report for BENCH_managers.json.
-func ManagersReportJSON(r ManagersReport) ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+// managersLane is the BENCH_managers.json lane.
+var managersLane = Lane{
+	Name:  "managers",
+	Title: "Managers: flat vs tree barrier, centralized vs sharded locks",
+	Run:   runFixed(ManagersComparison, FormatManagersReport),
+	Gate:  gate("managers", checkManagers),
 }
 
-// CompareManagersReports validates a fresh report against the committed
-// baseline. The measurements are deterministic, so the gate is strict:
-// the scaling properties must hold (tree depths within DepthBound, flat
-// depth exactly n-1, centralized lock traffic fully on node 0, sharded
-// node-0 share at most MaxShardedNode0Share), and the fresh barrier
-// depths must equal the committed ones — a silent topology change must
-// regenerate the baseline deliberately.
-func CompareManagersReports(baseline, current []byte) (string, error) {
-	var base, cur ManagersReport
-	if err := json.Unmarshal(baseline, &base); err != nil {
-		return "", fmt.Errorf("baseline: %w", err)
-	}
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return "", fmt.Errorf("current: %w", err)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "tree depth: baseline %d/%d, current %d/%d (bound %d)\n",
+// checkManagers is the managers gate. The measurements are
+// deterministic, so the gate is strict: the scaling properties must hold
+// (tree depths within DepthBound, flat depth exactly n-1, centralized
+// lock traffic fully on node 0, sharded node-0 share at most
+// MaxShardedNode0Share), and the fresh barrier depths must equal the
+// committed ones — a silent topology change must regenerate the
+// baseline deliberately.
+func checkManagers(base, cur ManagersReport, b *strings.Builder) []string {
+	fmt.Fprintf(b, "tree depth: baseline %d/%d, current %d/%d (bound %d)\n",
 		base.Tree.EnterDepth, base.Tree.ReleaseDepth,
 		cur.Tree.EnterDepth, cur.Tree.ReleaseDepth, cur.DepthBound)
-	fmt.Fprintf(&b, "lock node0-share: centralized %.0f%% -> sharded %.0f%% (ceiling %.0f%%)\n",
+	fmt.Fprintf(b, "lock node0-share: centralized %.0f%% -> sharded %.0f%% (ceiling %.0f%%)\n",
 		cur.LockCentralized.Node0Share*100, cur.LockSharded.Node0Share*100,
 		MaxShardedNode0Share*100)
 	var failures []string
@@ -171,9 +161,5 @@ func CompareManagersReports(baseline, current []byte) (string, error) {
 			"sharded lock traffic concentrates %.0f%% on node 0, ceiling %.0f%%",
 			cur.LockSharded.Node0Share*100, MaxShardedNode0Share*100))
 	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("managers benchmark regression:\n  %s",
-			strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
+	return failures
 }

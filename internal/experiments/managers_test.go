@@ -35,11 +35,11 @@ func TestManagersComparisonGate(t *testing.T) {
 			rep.LockSharded.Node0Share, MaxShardedNode0Share)
 	}
 
-	js, err := ManagersReportJSON(rep)
+	js, err := ReportJSON(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompareManagersReports(js, js); err != nil {
+	if _, err := managersLane.Gate(js, js); err != nil {
 		t.Errorf("report fails its own gate: %v", err)
 	}
 	if out := FormatManagersReport(rep); !strings.Contains(out, "tree depth gate") {
@@ -48,33 +48,18 @@ func TestManagersComparisonGate(t *testing.T) {
 }
 
 // TestCompareManagersReportsRejects checks the gate trips on each
-// regression class it claims to catch.
+// regression class it claims to catch, perturbing a freshly measured
+// report rather than the committed one.
 func TestCompareManagersReportsRejects(t *testing.T) {
 	rep, err := ManagersComparison()
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := ManagersReportJSON(rep)
+	js, err := ReportJSON(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mutate := range map[string]func(*ManagersReport){
-		"depth over bound":    func(r *ManagersReport) { r.Tree.EnterDepth = r.DepthBound + 1 },
-		"depth drift":         func(r *ManagersReport) { r.Tree.ReleaseDepth-- },
-		"flat harness drift":  func(r *ManagersReport) { r.Flat.EnterDepth = 1 },
-		"lock concentration":  func(r *ManagersReport) { r.LockSharded.Node0Share = 0.9 },
-		"centralized leakage": func(r *ManagersReport) { r.LockCentralized.Node0Share = 0.5 },
-	} {
-		bad := rep
-		mutate(&bad)
-		js, err := ManagersReportJSON(bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := CompareManagersReports(base, js); err == nil {
-			t.Errorf("%s: gate passed a regressed report", name)
-		}
-	}
+	checkGateCases(t, managersLane, js)
 }
 
 // TestBarrierShapeSmall pins the depth computation on hand-checkable

@@ -21,7 +21,6 @@ package experiments
 // workload.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -343,15 +342,6 @@ func placementHeadlineWorkloads(r PlacementReport) []string {
 	return out
 }
 
-// PlacementReportJSON marshals the report for BENCH_placement.json.
-func PlacementReportJSON(r PlacementReport) ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
 // PlacementRegressionTolerance bounds the gate: each row's fresh
 // elapsed time and demand calls must stay within 5% above the committed
 // baseline. The runs are virtual-time deterministic, so drift is a real
@@ -359,23 +349,29 @@ func PlacementReportJSON(r PlacementReport) ([]byte, error) {
 // refinements.
 const PlacementRegressionTolerance = 0.05
 
-// ComparePlacementReports validates a fresh ablation against the
-// committed baseline: per-row elapsed and demand calls within
+// placementLane is the BENCH_placement.json lane.
+var placementLane = Lane{
+	Name:  "placement",
+	Title: "Placement v2: static/thread/data/combined controller ablation",
+	Run:   runFixed(PlacementComparison, FormatPlacementReport),
+	Gate:  gate("placement", checkPlacement),
+}
+
+// checkPlacement is the placement gate: the baseline must have
+// workloads and rows, per-row elapsed and demand calls must stay within
 // tolerance, and the placement-v2 headline — the combined controller
 // strictly beats both thread-only and data-only on at least one
 // workload (demand calls, or p99 for serving) — must hold in the fresh
 // measurements.
-func ComparePlacementReports(baseline, current []byte) (string, error) {
-	var base, cur PlacementReport
-	if err := json.Unmarshal(baseline, &base); err != nil {
-		return "", fmt.Errorf("baseline: %w", err)
+func checkPlacement(base, cur PlacementReport, b *strings.Builder) []string {
+	if len(base.Workloads) == 0 {
+		return []string{"baseline has no workloads"}
 	}
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return "", fmt.Errorf("current: %w", err)
-	}
-	var b strings.Builder
 	var failures []string
 	for _, bw := range base.Workloads {
+		if len(bw.Rows) == 0 {
+			failures = append(failures, fmt.Sprintf("baseline workload %s has no rows", bw.Workload))
+		}
 		for _, br := range bw.Rows {
 			cr := placementRow(cur, bw.Workload, br.Config)
 			if cr == nil {
@@ -383,7 +379,7 @@ func ComparePlacementReports(baseline, current []byte) (string, error) {
 					"%s/%s missing from current report", bw.Workload, br.Config))
 				continue
 			}
-			fmt.Fprintf(&b, "%-8s %-10s elapsed %v -> %v, calls %d -> %d\n",
+			fmt.Fprintf(b, "%-8s %-10s elapsed %v -> %v, calls %d -> %d\n",
 				bw.Workload, br.Config, br.Elapsed, cr.Elapsed, br.DemandCalls, cr.DemandCalls)
 			if cr.Elapsed > sim.Time(float64(br.Elapsed)*(1+PlacementRegressionTolerance)) {
 				failures = append(failures, fmt.Sprintf(
@@ -401,9 +397,5 @@ func ComparePlacementReports(baseline, current []byte) (string, error) {
 		failures = append(failures,
 			"combined no longer beats both thread-only and data-only on any workload")
 	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("placement benchmark regression:\n  %s",
-			strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
+	return failures
 }

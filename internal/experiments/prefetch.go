@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -139,39 +138,42 @@ func FormatPrefetchComparison(rows []PrefetchRow) string {
 	return b.String()
 }
 
-// PrefetchReportJSON marshals the report for BENCH_prefetch.json.
-func PrefetchReportJSON(o Options, rows []PrefetchRow) ([]byte, error) {
-	o = o.Defaults()
-	scale := "test"
-	if o.Scale == apps.ScalePaper {
-		scale = "paper"
-	}
-	rep := PrefetchReport{Scale: scale, Threads: o.Threads, Nodes: o.Nodes, Rows: rows}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+// PrefetchRegressionTolerance bounds the gate: each app's prefetch-run
+// demand calls must stay within 5% above the committed baseline.
+const PrefetchRegressionTolerance = 0.05
+
+// prefetchLane is the BENCH_prefetch.json lane. Its report records the
+// options it ran with; the committed baseline uses the defaults.
+var prefetchLane = Lane{
+	Name:  "prefetch",
+	Title: "Prefetch: demand vs correlation-driven prefetch + batching",
+	Run: func(o Options) (any, string, error) {
+		rows, err := PrefetchComparison(o)
+		if err != nil {
+			return nil, "", err
+		}
+		o = o.Defaults()
+		scale := "test"
+		if o.Scale == apps.ScalePaper {
+			scale = "paper"
+		}
+		rep := PrefetchReport{Scale: scale, Threads: o.Threads, Nodes: o.Nodes, Rows: rows}
+		return rep, FormatPrefetchComparison(rows), nil
+	},
+	Gate: gate("prefetch", checkPrefetch),
 }
 
-// ComparePrefetchReports checks a fresh report against a committed
-// baseline: every baseline app must still be present, and its
-// prefetch-run demand-call count must not regress by more than tolerance
-// (fractional, e.g. 0.05). Returns a human-readable comparison and an
-// error when the tolerance is exceeded.
-func ComparePrefetchReports(baseline, current []byte, tolerance float64) (string, error) {
-	var base, cur PrefetchReport
-	if err := json.Unmarshal(baseline, &base); err != nil {
-		return "", fmt.Errorf("baseline: %w", err)
-	}
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return "", fmt.Errorf("current: %w", err)
+// checkPrefetch is the prefetch gate: the baseline must have rows, every
+// baseline app must still be present, and its prefetch-run demand-call
+// count must not regress by more than PrefetchRegressionTolerance.
+func checkPrefetch(base, cur PrefetchReport, b *strings.Builder) []string {
+	if len(base.Rows) == 0 {
+		return []string{"baseline has no rows"}
 	}
 	curByApp := make(map[string]PrefetchRow, len(cur.Rows))
 	for _, r := range cur.Rows {
 		curByApp[r.App] = r
 	}
-	var b strings.Builder
 	var failures []string
 	for _, br := range base.Rows {
 		cr, ok := curByApp[br.App]
@@ -184,18 +186,14 @@ func ComparePrefetchReports(baseline, current []byte, tolerance float64) (string
 			delta = float64(cr.PrefetchCalls-br.PrefetchCalls) / float64(br.PrefetchCalls)
 		}
 		status := "ok"
-		if delta > tolerance {
+		if delta > PrefetchRegressionTolerance {
 			status = "REGRESSION"
 			failures = append(failures, fmt.Sprintf(
 				"%s: prefetch-run demand calls %d -> %d (+%.1f%% > %.0f%% tolerance)",
-				br.App, br.PrefetchCalls, cr.PrefetchCalls, 100*delta, 100*tolerance))
+				br.App, br.PrefetchCalls, cr.PrefetchCalls, 100*delta, 100*PrefetchRegressionTolerance))
 		}
-		fmt.Fprintf(&b, "%-8s baseline %6d  current %6d  delta %+6.1f%%  %s\n",
+		fmt.Fprintf(b, "%-8s baseline %6d  current %6d  delta %+6.1f%%  %s\n",
 			br.App, br.PrefetchCalls, cr.PrefetchCalls, 100*delta, status)
 	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("prefetch benchmark regression:\n  %s",
-			strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
+	return failures
 }

@@ -20,7 +20,6 @@ package experiments
 // p99 latency.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -221,15 +220,6 @@ func FormatServingReport(r ServingReport) string {
 	return b.String()
 }
 
-// ServingReportJSON marshals the report for BENCH_serving.json.
-func ServingReportJSON(r ServingReport) ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
 // ServingRegressionTolerance bounds the gate: each variant's fresh QPS
 // must stay within 5% below its committed baseline and fresh p99 within
 // 5% above it. The run is virtual-time deterministic, so any drift is a
@@ -237,19 +227,22 @@ func ServingReportJSON(r ServingReport) ([]byte, error) {
 // protocol refinements from forcing a baseline regeneration.
 const ServingRegressionTolerance = 0.05
 
-// CompareServingReports validates a fresh report against the committed
-// baseline: per-variant QPS and p99 within tolerance, and the serving
+// servingLane is the BENCH_serving.json lane.
+var servingLane = Lane{
+	Name:  "serving",
+	Title: "Serving: KV workload under static/min-cost/home-migration placement",
+	Run:   runFixed(ServingComparison, FormatServingReport),
+	Gate:  gate("serving", checkServing),
+}
+
+// checkServing is the serving gate: the baseline must have rows,
+// per-variant QPS and p99 must stay within tolerance, and the serving
 // experiment's headline property — home migration beats static
 // placement on p99 — must hold in the fresh measurements.
-func CompareServingReports(baseline, current []byte) (string, error) {
-	var base, cur ServingReport
-	if err := json.Unmarshal(baseline, &base); err != nil {
-		return "", fmt.Errorf("baseline: %w", err)
+func checkServing(base, cur ServingReport, b *strings.Builder) []string {
+	if len(base.Rows) == 0 {
+		return []string{"baseline has no rows"}
 	}
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return "", fmt.Errorf("current: %w", err)
-	}
-	var b strings.Builder
 	var failures []string
 	for _, br := range base.Rows {
 		cr := servingRow(cur, br.Config)
@@ -257,7 +250,7 @@ func CompareServingReports(baseline, current []byte) (string, error) {
 			failures = append(failures, fmt.Sprintf("variant %q missing from current report", br.Config))
 			continue
 		}
-		fmt.Fprintf(&b, "%-10s QPS %.0f -> %.0f, p99 %v -> %v\n",
+		fmt.Fprintf(b, "%-10s QPS %.0f -> %.0f, p99 %v -> %v\n",
 			br.Config, br.QPS, cr.QPS, br.P99, cr.P99)
 		if cr.QPS < br.QPS*(1-ServingRegressionTolerance) {
 			failures = append(failures, fmt.Sprintf(
@@ -281,9 +274,5 @@ func CompareServingReports(baseline, current []byte) (string, error) {
 		failures = append(failures, fmt.Sprintf(
 			"home migration no longer beats static placement on throughput: %.0f vs %.0f QPS", h.QPS, s.QPS))
 	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("serving benchmark regression:\n  %s",
-			strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
+	return failures
 }

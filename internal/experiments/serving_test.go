@@ -49,11 +49,11 @@ func TestServingComparison(t *testing.T) {
 	}
 
 	// The gate accepts its own fresh report.
-	js, err := ServingReportJSON(rep)
+	js, err := ReportJSON(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary, err := CompareServingReports(js, js)
+	summary, err := servingLane.Gate(js, js)
 	if err != nil {
 		t.Fatalf("self-comparison failed: %v\n%s", err, summary)
 	}
@@ -76,8 +76,8 @@ func TestServingDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, _ := ServingReportJSON(a)
-	jb, _ := ServingReportJSON(b)
+	ja, _ := ReportJSON(a)
+	jb, _ := ReportJSON(b)
 	if string(ja) != string(jb) {
 		t.Fatalf("serving report not deterministic:\n%s\nvs\n%s", ja, jb)
 	}

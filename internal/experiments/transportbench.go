@@ -21,7 +21,6 @@ package experiments
 // compares them byte-for-byte against the committed baseline.
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -189,37 +188,28 @@ func FormatTransportReport(r TransportReport) string {
 	return b.String()
 }
 
-// TransportReportJSON marshals the report for BENCH_transport.json.
-func TransportReportJSON(r TransportReport) ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+// transportLane is the BENCH_transport.json lane.
+var transportLane = Lane{
+	Name:  "transport",
+	Title: "Transport: mux vs serialized wire discipline (real TCP)",
+	Run:   runFixed(TransportComparison, FormatTransportReport),
+	Gate:  gate("transport", checkTransport),
 }
 
-// CompareTransportReports validates a fresh report against the
-// committed baseline. The TCP-leg numbers are wall-clock timings that
-// differ between machines, so that half of the gate checks properties
-// rather than values: the fresh mux-over-serialized speedup must not
-// fall below MinTransportSpeedup and the steady-state round trip must
-// stay allocation-free (< 0.5 allocs/op). The heterogeneous leg is
-// deterministic virtual time, so it is compared exactly: elapsed times
-// and every per-link call/byte count must match the baseline.
-func CompareTransportReports(baseline, current []byte) (string, error) {
-	var base, cur TransportReport
-	if err := json.Unmarshal(baseline, &base); err != nil {
-		return "", fmt.Errorf("baseline: %w", err)
-	}
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return "", fmt.Errorf("current: %w", err)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "speedup: baseline %.2fx, current %.2fx (floor %.1fx)\n",
+// checkTransport is the transport gate. The TCP-leg numbers are
+// wall-clock timings that differ between machines, so that half of the
+// gate checks properties rather than values: the fresh
+// mux-over-serialized speedup must not fall below MinTransportSpeedup
+// and the steady-state round trip must stay allocation-free (< 0.5
+// allocs/op). The heterogeneous leg is deterministic virtual time, so
+// it is compared exactly: elapsed times and every per-link call/byte
+// count must match the baseline.
+func checkTransport(base, cur TransportReport, b *strings.Builder) []string {
+	fmt.Fprintf(b, "speedup: baseline %.2fx, current %.2fx (floor %.1fx)\n",
 		base.Speedup, cur.Speedup, MinTransportSpeedup)
-	fmt.Fprintf(&b, "round-trip allocs/op: baseline %.2f, current %.2f (floor 0.5)\n",
+	fmt.Fprintf(b, "round-trip allocs/op: baseline %.2f, current %.2f (floor 0.5)\n",
 		base.SendAllocsPerOp, cur.SendAllocsPerOp)
-	fmt.Fprintf(&b, "hetero elapsed: baseline %d/%d, current %d/%d (uniform/slow, exact)\n",
+	fmt.Fprintf(b, "hetero elapsed: baseline %d/%d, current %d/%d (uniform/slow, exact)\n",
 		int64(base.HeteroUniformElapsed), int64(base.HeteroSlowElapsed),
 		int64(cur.HeteroUniformElapsed), int64(cur.HeteroSlowElapsed))
 	var failures []string
@@ -247,11 +237,7 @@ func CompareTransportReports(baseline, current []byte) (string, error) {
 	if diff := transportLinksDiff(base.HeteroLinks, cur.HeteroLinks); diff != "" {
 		failures = append(failures, "deterministic per-link traffic diverged: "+diff)
 	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("transport benchmark regression:\n  %s",
-			strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
+	return failures
 }
 
 func transportLinksDiff(a, b []TransportLink) string {
