@@ -332,9 +332,6 @@ func (c *Cluster) replicate(n *node, notices []msg.Notice) (sim.Time, error) {
 // drops transport-retried duplicates before any state changes.
 func (n *node) serveReplicaDelta(req *msg.ReplicaDelta) (msg.Message, error) {
 	origin := int(req.Origin)
-	if origin < 0 || origin >= n.c.cfg.Nodes {
-		return nil, fmt.Errorf("dsm: replica delta from unknown origin %d", origin)
-	}
 	n.replMu.Lock()
 	defer n.replMu.Unlock()
 	st := n.replState[origin]
@@ -610,9 +607,6 @@ func (n *node) resetForRejoin() {
 // retries: the interval record is read, not consumed.
 func (n *node) serveRejoinRequest(req *msg.RejoinRequest) (msg.Message, error) {
 	d := int(req.Node)
-	if d < 0 || d >= n.c.cfg.Nodes {
-		return nil, fmt.Errorf("dsm: rejoin request from unknown node %d", d)
-	}
 	n.replMu.Lock()
 	st := n.replState[d]
 	st.seq = 0

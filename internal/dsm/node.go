@@ -748,8 +748,13 @@ func (n *node) fetchAndApplyDiffs(tid int, p vm.PageID, pending []msg.Notice, sr
 // the sharded locking scheme, concurrently with other serves and with
 // the node's own application threads. The returned release func, when
 // non-nil, must be called once the reply has been encoded: diff serves
-// alias refcounted stored bytes and pin them only until then.
+// alias refcounted stored bytes and pin them only until then. A request
+// with an out-of-range index fails before dispatch (checkIndices), so
+// handlers index their tables with request fields unchecked.
 func (n *node) serve(from int, m msg.Message) (msg.Message, func(), error) {
+	if err := n.c.checkIndices(m); err != nil {
+		return nil, nil, fmt.Errorf("dsm: node %d: %v %w", n.id, m.Kind(), err)
+	}
 	switch req := m.(type) {
 	case *msg.PageRequest:
 		return noRelease(n.servePageRequest(req))
@@ -958,9 +963,7 @@ func (n *node) serveBarrierRelease(req *msg.BarrierRelease) (msg.Message, error)
 	// parked and no page requests are in flight; idempotent (a re-
 	// delivered release stores the same homes).
 	for _, ph := range req.Homes {
-		if int(ph.Page) >= 0 && int(ph.Page) < len(n.homes) {
-			n.homes[ph.Page].Store(ph.Home)
-		}
+		n.homes[ph.Page].Store(ph.Home)
 	}
 	if len(req.Push) > 0 {
 		cost, pushed, err := n.applyPush(req.Push)

@@ -113,9 +113,6 @@ func (n *node) applyPush(push []msg.PushedDiff) (sim.Time, int, error) {
 	var pages []vm.PageID
 	seen := make(map[vm.PageID]bool)
 	for _, pd := range push {
-		if int(pd.Page) < 0 || int(pd.Page) >= len(n.pages) {
-			return 0, 0, fmt.Errorf("dsm: node %d pushed diff for page %d out of range", n.id, pd.Page)
-		}
 		diffs[[3]int32{pd.Page, pd.Writer, pd.Interval}] = pd.Diff
 		if p := vm.PageID(pd.Page); !seen[p] {
 			seen[p] = true
@@ -550,9 +547,6 @@ func (n *node) serveDiffBatchRequest(req *msg.DiffBatchRequest) (msg.Message, fu
 	for i, pi := range req.Pages {
 		out.Pages[i].Page = pi.Page
 		out.Pages[i].Diffs = make([][]byte, len(pi.Intervals))
-		if int(pi.Page) < 0 || int(pi.Page) >= len(n.pages) {
-			continue
-		}
 		p := vm.PageID(pi.Page)
 		sh := n.rlockShard(p)
 		store := sh.diffs[p]

@@ -64,3 +64,27 @@ func BenchmarkSize(b *testing.B) {
 		_ = Size(ms[i&3])
 	}
 }
+
+// TestDecodeAllocs pins decode allocations: decoding a benchMessages
+// kind allocates the message and the slices it owns, nothing else (no
+// per-call decoder state).
+func TestDecodeAllocs(t *testing.T) {
+	// Message struct + owned slices, per benchMessages entry.
+	want := []float64{
+		2, // DiffRequest: struct, Intervals
+		3, // DiffReply: struct, Diffs, one diff
+		7, // DiffBatchReply: struct, Pages, two Diffs slices, three diffs
+		3, // PageReply: struct, Data, AppliedVT
+	}
+	for i, m := range benchMessages() {
+		b := Encode(m)
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := Decode(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want[i] {
+			t.Errorf("Decode(%T) allocs/op = %v, want %v", m, got, want[i])
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -52,45 +53,47 @@ const (
 // by Kind (e.g. the DSM's per-message-type call statistics).
 const KindCount = int(KindRejoinReply) + 1
 
-// kindNames is indexed by Kind.
-var kindNames = [KindCount]string{
-	KindPageRequest:    "PageRequest",
-	KindPageReply:      "PageReply",
-	KindDiffRequest:    "DiffRequest",
-	KindDiffReply:      "DiffReply",
-	KindBarrierEnter:   "BarrierEnter",
-	KindBarrierRelease: "BarrierRelease",
-	KindLockAcquire:    "LockAcquire",
-	KindLockGrant:      "LockGrant",
-	KindLockRelease:    "LockRelease",
-	KindGCCollect:      "GCCollect",
-	KindAck:            "Ack",
-	KindSWRead:         "SWRead",
-	KindSWWrite:        "SWWrite",
-	KindSWDowngrade:    "SWDowngrade",
-	KindSWFlush:        "SWFlush",
-	KindSWInvalidate:   "SWInvalidate",
-
-	KindDiffBatchRequest: "DiffBatchRequest",
-	KindDiffBatchReply:   "DiffBatchReply",
-	KindLockPull:         "LockPull",
-
-	KindReplicaDelta:  "ReplicaDelta",
-	KindRejoinRequest: "RejoinRequest",
-	KindRejoinReply:   "RejoinReply",
+// kinds is indexed by Kind: each defined kind's name, and a constructor
+// of an empty message of that kind for Decode.
+var kinds = [KindCount]struct {
+	name  string
+	alloc func() Message
+}{
+	KindPageRequest:      {"PageRequest", func() Message { return new(PageRequest) }},
+	KindPageReply:        {"PageReply", func() Message { return new(PageReply) }},
+	KindDiffRequest:      {"DiffRequest", func() Message { return new(DiffRequest) }},
+	KindDiffReply:        {"DiffReply", func() Message { return new(DiffReply) }},
+	KindBarrierEnter:     {"BarrierEnter", func() Message { return new(BarrierEnter) }},
+	KindBarrierRelease:   {"BarrierRelease", func() Message { return new(BarrierRelease) }},
+	KindLockAcquire:      {"LockAcquire", func() Message { return new(LockAcquire) }},
+	KindLockGrant:        {"LockGrant", func() Message { return new(LockGrant) }},
+	KindLockRelease:      {"LockRelease", func() Message { return new(LockRelease) }},
+	KindGCCollect:        {"GCCollect", func() Message { return new(GCCollect) }},
+	KindAck:              {"Ack", func() Message { return new(Ack) }},
+	KindSWRead:           {"SWRead", func() Message { return new(SWRead) }},
+	KindSWWrite:          {"SWWrite", func() Message { return new(SWWrite) }},
+	KindSWDowngrade:      {"SWDowngrade", func() Message { return new(SWDowngrade) }},
+	KindSWFlush:          {"SWFlush", func() Message { return new(SWFlush) }},
+	KindSWInvalidate:     {"SWInvalidate", func() Message { return new(SWInvalidate) }},
+	KindDiffBatchRequest: {"DiffBatchRequest", func() Message { return new(DiffBatchRequest) }},
+	KindDiffBatchReply:   {"DiffBatchReply", func() Message { return new(DiffBatchReply) }},
+	KindLockPull:         {"LockPull", func() Message { return new(LockPull) }},
+	KindReplicaDelta:     {"ReplicaDelta", func() Message { return new(ReplicaDelta) }},
+	KindRejoinRequest:    {"RejoinRequest", func() Message { return new(RejoinRequest) }},
+	KindRejoinReply:      {"RejoinReply", func() Message { return new(RejoinReply) }},
 }
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
+	if k.Valid() {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Valid reports whether k names a defined message kind.
 func (k Kind) Valid() bool {
-	return int(k) < len(kindNames) && kindNames[k] != ""
+	return int(k) < len(kinds) && kinds[k].alloc != nil
 }
 
 // ErrTruncated reports a decode attempt on a short buffer.
@@ -112,45 +115,24 @@ type Notice struct {
 	Lam      int32
 }
 
+func (nt *Notice) walk(c *codec) {
+	c.i32(&nt.Page)
+	c.i32(&nt.Writer)
+	c.i32(&nt.Interval)
+	c.i32(&nt.Lam)
+}
+
 // noticeWire is the encoded size of one Notice.
 const noticeWire = 16
 
-// Message is any DSM protocol message.
+// Message is any DSM protocol message. The interface is sealed: each
+// message type states its wire layout once, in walk, which visits the
+// fields in wire order through a codec that sizes, encodes or decodes
+// them (see codec).
 type Message interface {
 	Kind() Kind
-	encodeBody(e *encoder)
-	decodeBody(d *decoder) error
-	// sizeBody returns the encoded body size in bytes, computed
-	// directly from the message fields (no trial encode). Size and
-	// Encode rely on it; TestSizeMatchesEncode pins the equivalence.
-	sizeBody() int
+	walk(c *codec)
 }
-
-// Compile-time interface checks.
-var (
-	_ Message = (*PageRequest)(nil)
-	_ Message = (*PageReply)(nil)
-	_ Message = (*DiffRequest)(nil)
-	_ Message = (*DiffReply)(nil)
-	_ Message = (*BarrierEnter)(nil)
-	_ Message = (*BarrierRelease)(nil)
-	_ Message = (*LockAcquire)(nil)
-	_ Message = (*LockGrant)(nil)
-	_ Message = (*LockRelease)(nil)
-	_ Message = (*GCCollect)(nil)
-	_ Message = (*Ack)(nil)
-	_ Message = (*SWRead)(nil)
-	_ Message = (*SWWrite)(nil)
-	_ Message = (*SWDowngrade)(nil)
-	_ Message = (*SWFlush)(nil)
-	_ Message = (*SWInvalidate)(nil)
-	_ Message = (*DiffBatchRequest)(nil)
-	_ Message = (*DiffBatchReply)(nil)
-	_ Message = (*LockPull)(nil)
-	_ Message = (*ReplicaDelta)(nil)
-	_ Message = (*RejoinRequest)(nil)
-	_ Message = (*RejoinReply)(nil)
-)
 
 // PageRequest asks the page manager for a full copy of Page. Pending lists
 // the write notices the requester knows are outstanding against the page,
@@ -164,6 +146,12 @@ type PageRequest struct {
 // Kind implements Message.
 func (*PageRequest) Kind() Kind { return KindPageRequest }
 
+func (m *PageRequest) walk(c *codec) {
+	c.i32(&m.From)
+	c.i32(&m.Page)
+	c.notices(&m.Pending)
+}
+
 // PageReply carries a full, current page image. AppliedVT is the
 // manager's per-writer applied-interval vector for the page after bringing
 // it current, so the requester knows which future notices are stale.
@@ -175,6 +163,12 @@ type PageReply struct {
 
 // Kind implements Message.
 func (*PageReply) Kind() Kind { return KindPageReply }
+
+func (m *PageReply) walk(c *codec) {
+	c.i32(&m.Page)
+	c.bytes(&m.Data)
+	c.i32s(&m.AppliedVT, always)
+}
 
 // DiffRequest asks a writer node for the diffs it created for Page in each
 // of Intervals. Writer names the node that authored the diffs; it equals
@@ -191,6 +185,13 @@ type DiffRequest struct {
 // Kind implements Message.
 func (*DiffRequest) Kind() Kind { return KindDiffRequest }
 
+func (m *DiffRequest) walk(c *codec) {
+	c.i32(&m.From)
+	c.i32(&m.Page)
+	c.i32(&m.Writer)
+	c.i32s(&m.Intervals, always)
+}
+
 // DiffReply carries the requested diffs, aligned with the request's
 // Intervals. A nil entry means the writer no longer stores that diff
 // (garbage-collected); the requester must fall back to a full page fetch.
@@ -201,6 +202,11 @@ type DiffReply struct {
 
 // Kind implements Message.
 func (*DiffReply) Kind() Kind { return KindDiffReply }
+
+func (m *DiffReply) walk(c *codec) {
+	c.i32(&m.Page)
+	c.diffs(&m.Diffs)
+}
 
 // BarrierEnter announces a node's arrival at barrier Episode, carrying the
 // write notices the node created since the last barrier and the node's
@@ -232,6 +238,21 @@ type NodeHot struct {
 // Kind implements Message.
 func (*BarrierEnter) Kind() Kind { return KindBarrierEnter }
 
+func (m *BarrierEnter) walk(c *codec) {
+	c.i32(&m.Node)
+	c.i32(&m.Episode)
+	c.i32(&m.Lam)
+	c.notices(&m.Notices)
+	c.i32s(&m.Hot, nilEmpty)
+	c.i32s(&m.Entered, nilEmpty)
+	list(c, &m.HotSets, nilEmpty)
+}
+
+func (h *NodeHot) walk(c *codec) {
+	c.i32(&h.Node)
+	c.i32s(&h.Pages, always)
+}
+
 // PushedDiff is one diff piggybacked on a barrier release: the diff of
 // (Page, Writer, Interval). Its Lamport stamp travels in the release's
 // notice for the same triple.
@@ -240,6 +261,13 @@ type PushedDiff struct {
 	Writer   int32
 	Interval int32
 	Diff     []byte
+}
+
+func (pd *PushedDiff) walk(c *codec) {
+	c.i32(&pd.Page)
+	c.i32(&pd.Writer)
+	c.i32(&pd.Interval)
+	c.bytes(&pd.Diff)
 }
 
 // BarrierRelease is the manager's broadcast releasing barrier Episode; it
@@ -281,6 +309,25 @@ type NodePush struct {
 // Kind implements Message.
 func (*BarrierRelease) Kind() Kind { return KindBarrierRelease }
 
+func (m *BarrierRelease) walk(c *codec) {
+	c.i32(&m.Episode)
+	c.i32(&m.Lam)
+	c.notices(&m.Notices)
+	c.pushes(&m.Push)
+	list(c, &m.Homes, nilEmpty)
+	list(c, &m.Relay, nilEmpty)
+}
+
+func (ph *PageHome) walk(c *codec) {
+	c.i32(&ph.Page)
+	c.i32(&ph.Home)
+}
+
+func (np *NodePush) walk(c *codec) {
+	c.i32(&np.Node)
+	c.pushes(&np.Push)
+}
+
 // LockAcquire asks a lock's manager for the lock. Seen is the requester's
 // vector time (highest interval seen per node), letting the manager filter
 // the notices the grant must carry. Pos is the prefix of the manager's
@@ -297,6 +344,13 @@ type LockAcquire struct {
 
 // Kind implements Message.
 func (*LockAcquire) Kind() Kind { return KindLockAcquire }
+
+func (m *LockAcquire) walk(c *codec) {
+	c.i32(&m.Node)
+	c.i32(&m.Lock)
+	c.i32(&m.Pos)
+	c.i32s(&m.Seen, always)
+}
 
 // LockGrant hands over the lock with the consistency information
 // (write notices) the acquirer has not yet seen, and the Lamport clock of
@@ -318,6 +372,14 @@ type LockGrant struct {
 // Kind implements Message.
 func (*LockGrant) Kind() Kind { return KindLockGrant }
 
+func (m *LockGrant) walk(c *codec) {
+	c.i32(&m.Lock)
+	c.i32(&m.Lam)
+	c.i32(&m.Pos)
+	c.i32(&m.Holder)
+	c.notices(&m.Notices)
+}
+
 // LockRelease returns the lock to its manager with the notices generated
 // by the releaser's just-closed interval and the releaser's Lamport clock.
 type LockRelease struct {
@@ -330,6 +392,13 @@ type LockRelease struct {
 // Kind implements Message.
 func (*LockRelease) Kind() Kind { return KindLockRelease }
 
+func (m *LockRelease) walk(c *codec) {
+	c.i32(&m.Node)
+	c.i32(&m.Lock)
+	c.i32(&m.Lam)
+	c.notices(&m.Notices)
+}
+
 // GCCollect tells a node that Page has been consolidated at the page
 // manager: drop stored diffs for it and, unless this node is the manager,
 // invalidate the local copy (paper §2: garbage collections invalidate
@@ -341,11 +410,15 @@ type GCCollect struct {
 // Kind implements Message.
 func (*GCCollect) Kind() Kind { return KindGCCollect }
 
+func (m *GCCollect) walk(c *codec) { c.i32(&m.Page) }
+
 // Ack is the empty success reply.
 type Ack struct{}
 
 // Kind implements Message.
 func (*Ack) Kind() Kind { return KindAck }
+
+func (*Ack) walk(*codec) {}
 
 // SWRead asks the page's manager for a read copy (single-writer
 // protocol). The reply is a PageReply.
@@ -356,6 +429,11 @@ type SWRead struct {
 
 // Kind implements Message.
 func (*SWRead) Kind() Kind { return KindSWRead }
+
+func (m *SWRead) walk(c *codec) {
+	c.i32(&m.From)
+	c.i32(&m.Page)
+}
 
 // SWWrite asks the page's manager for ownership (single-writer protocol):
 // the manager flushes the current owner, invalidates all replicas, and
@@ -368,6 +446,11 @@ type SWWrite struct {
 // Kind implements Message.
 func (*SWWrite) Kind() Kind { return KindSWWrite }
 
+func (m *SWWrite) walk(c *codec) {
+	c.i32(&m.From)
+	c.i32(&m.Page)
+}
+
 // SWDowngrade tells the page's owner to drop to read-only and return the
 // current data (a reader is joining). The reply is a PageReply.
 type SWDowngrade struct {
@@ -376,6 +459,8 @@ type SWDowngrade struct {
 
 // Kind implements Message.
 func (*SWDowngrade) Kind() Kind { return KindSWDowngrade }
+
+func (m *SWDowngrade) walk(c *codec) { c.i32(&m.Page) }
 
 // SWFlush tells the page's owner to surrender the page: return the data
 // and invalidate the local copy. The reply is a PageReply.
@@ -386,6 +471,8 @@ type SWFlush struct {
 // Kind implements Message.
 func (*SWFlush) Kind() Kind { return KindSWFlush }
 
+func (m *SWFlush) walk(c *codec) { c.i32(&m.Page) }
+
 // SWInvalidate drops a replica (a writer is taking ownership).
 type SWInvalidate struct {
 	Page int32
@@ -394,11 +481,18 @@ type SWInvalidate struct {
 // Kind implements Message.
 func (*SWInvalidate) Kind() Kind { return KindSWInvalidate }
 
+func (m *SWInvalidate) walk(c *codec) { c.i32(&m.Page) }
+
 // PageIntervals names one page and the writer-local intervals whose diffs
 // are wanted for it.
 type PageIntervals struct {
 	Page      int32
 	Intervals []int32
+}
+
+func (pi *PageIntervals) walk(c *codec) {
+	c.i32(&pi.Page)
+	c.i32s(&pi.Intervals, always)
 }
 
 // DiffBatchRequest asks a single writer node for the diffs of many
@@ -416,6 +510,12 @@ type DiffBatchRequest struct {
 // Kind implements Message.
 func (*DiffBatchRequest) Kind() Kind { return KindDiffBatchRequest }
 
+func (m *DiffBatchRequest) walk(c *codec) {
+	c.i32(&m.From)
+	c.i32(&m.Writer)
+	list(c, &m.Pages, always)
+}
+
 // PageDiffs carries the diffs for one page, aligned with the request's
 // Intervals for that page. A nil entry means the writer no longer stores
 // that diff (garbage-collected); the requester must fall back to a full
@@ -423,6 +523,11 @@ func (*DiffBatchRequest) Kind() Kind { return KindDiffBatchRequest }
 type PageDiffs struct {
 	Page  int32
 	Diffs [][]byte
+}
+
+func (pd *PageDiffs) walk(c *codec) {
+	c.i32(&pd.Page)
+	c.diffs(&pd.Diffs)
 }
 
 // DiffBatchReply answers a DiffBatchRequest, aligned with the request's
@@ -433,6 +538,8 @@ type DiffBatchReply struct {
 
 // Kind implements Message.
 func (*DiffBatchReply) Kind() Kind { return KindDiffBatchReply }
+
+func (m *DiffBatchReply) walk(c *codec) { list(c, &m.Pages, always) }
 
 // LockPull asks the current holder of Lock for the notice history it
 // published at its last release of the lock (grant forwarding). Seen is
@@ -452,6 +559,13 @@ type LockPull struct {
 
 // Kind implements Message.
 func (*LockPull) Kind() Kind { return KindLockPull }
+
+func (m *LockPull) walk(c *codec) {
+	c.i32(&m.Node)
+	c.i32(&m.Lock)
+	c.i32(&m.Holder)
+	c.i32s(&m.Seen, always)
+}
 
 // ReplicaDelta replicates one node's interval state to its ring
 // successor (fault tolerance). The origin ships a delta after every
@@ -476,6 +590,16 @@ type ReplicaDelta struct {
 // Kind implements Message.
 func (*ReplicaDelta) Kind() Kind { return KindReplicaDelta }
 
+func (m *ReplicaDelta) walk(c *codec) {
+	c.i32(&m.Origin)
+	c.i32(&m.Seq)
+	c.i32(&m.Interval)
+	c.i32(&m.Lam)
+	c.notices(&m.Notices)
+	c.diffs(&m.Diffs)
+	c.notices(&m.Known)
+}
+
 // RejoinRequest asks a restarted node's ring successor for the
 // synchronization state it must resume with (fault tolerance). The
 // reply is a RejoinReply.
@@ -485,6 +609,8 @@ type RejoinRequest struct {
 
 // Kind implements Message.
 func (*RejoinRequest) Kind() Kind { return KindRejoinRequest }
+
+func (m *RejoinRequest) walk(c *codec) { c.i32(&m.Node) }
 
 // RejoinReply restores a rejoining node's synchronization state:
 // Interval and Lam resume its interval counter and Lamport clock past
@@ -502,12 +628,12 @@ type RejoinReply struct {
 // Kind implements Message.
 func (*RejoinReply) Kind() Kind { return KindRejoinReply }
 
-// encoderPool recycles encoder headers so EncodeTo performs no
-// allocations of its own: calling m.encodeBody through the Message
-// interface makes a stack-local encoder escape, so a fresh &encoder{}
-// per call would cost one allocation even when the destination buffer
-// has capacity. Pooling the header removes it.
-var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
+func (m *RejoinReply) walk(c *codec) {
+	c.i32(&m.Interval)
+	c.i32(&m.Lam)
+	c.i32s(&m.Seen, always)
+	c.i32s(&m.Homes, always)
+}
 
 // Encode serializes m (kind byte + body) into a freshly allocated,
 // exactly-sized buffer (a single allocation — Size presizes it).
@@ -520,14 +646,46 @@ func Encode(m Message) []byte {
 // path uses with pooled buffers (GetBuf/PutBuf) so steady-state
 // encodes allocate nothing. buf may be nil.
 func EncodeTo(buf []byte, m Message) []byte {
-	e := encoderPool.Get().(*encoder)
-	e.buf = buf
-	e.u8(uint8(m.Kind()))
-	m.encodeBody(e)
-	out := e.buf
-	e.buf = nil
-	encoderPool.Put(e)
+	c := getCodec(encoding, append(buf, byte(m.Kind())))
+	m.walk(c)
+	out := c.buf
+	putCodec(c)
 	return out
+}
+
+// Size returns the encoded size of m in bytes, computed from the
+// message fields by a sizing walk (no trial encode, no allocation).
+func Size(m Message) int {
+	c := getCodec(sizing, nil)
+	m.walk(c)
+	n := c.n
+	putCodec(c)
+	return 1 + n
+}
+
+// Decode parses a message produced by Encode. It rejects unknown kinds,
+// truncated or inconsistent bodies, and trailing bytes.
+func Decode(b []byte) (Message, error) {
+	if len(b) == 0 {
+		return nil, ErrTruncated
+	}
+	k := Kind(b[0])
+	if !k.Valid() {
+		return nil, fmt.Errorf("msg: unknown kind %d", b[0])
+	}
+	m := kinds[k].alloc()
+	c := getCodec(decoding, b)
+	c.off = 1
+	m.walk(c)
+	err, left := c.err, len(b)-c.off
+	putCodec(c)
+	if err != nil {
+		return nil, fmt.Errorf("msg: decode kind %d: %w", b[0], err)
+	}
+	if left != 0 {
+		return nil, fmt.Errorf("msg: %d trailing bytes after kind %d", left, b[0])
+	}
+	return m, nil
 }
 
 // bufPool backs GetBuf/PutBuf. Entries are *[]byte headers with live
@@ -570,934 +728,205 @@ func PutBuf(b []byte) {
 	bufPool.Put(h)
 }
 
-// Decode parses a message produced by Encode.
-func Decode(b []byte) (Message, error) {
-	d := &decoder{buf: b}
-	k, err := d.u8()
-	if err != nil {
-		return nil, err
+// codec walks a message's fields in wire order. Every field is
+// little-endian int32-based: a scalar is 4 bytes, a slice is a 4-byte
+// count followed by its elements, and a byte field is a 4-byte length
+// followed by the bytes. The mode selects what a walk does with each
+// field: add up its size, append its encoding to buf, or read it from
+// buf at off. Decoding keeps the first error and turns every later read
+// into a no-op, so walks need no error plumbing.
+type codec struct {
+	mode codecMode
+	n    int    // sizing: bytes counted so far
+	buf  []byte // encoding: output; decoding: input
+	off  int    // decoding: read offset into buf
+	err  error  // decoding: first failure
+}
+
+type codecMode uint8
+
+const (
+	sizing codecMode = iota
+	encoding
+	decoding
+)
+
+// How a zero count decodes: optional fields (present only when a
+// feature is on) decode it as nil, everything else as an empty slice.
+const (
+	always   = false
+	nilEmpty = true
+)
+
+// codecPool recycles codecs so EncodeTo, Size and Decode allocate
+// nothing of their own: a codec passed to m.walk through the Message
+// interface escapes, so a fresh one per call would cost an allocation.
+var codecPool = sync.Pool{New: func() any { return new(codec) }}
+
+func getCodec(mode codecMode, buf []byte) *codec {
+	c := codecPool.Get().(*codec)
+	*c = codec{mode: mode, buf: buf}
+	return c
+}
+
+func putCodec(c *codec) {
+	*c = codec{}
+	codecPool.Put(c)
+}
+
+// next consumes n input bytes, or records ErrTruncated and returns nil.
+func (c *codec) next(n int) []byte {
+	if c.err != nil {
+		return nil
 	}
-	var m Message
-	switch Kind(k) {
-	case KindPageRequest:
-		m = &PageRequest{}
-	case KindPageReply:
-		m = &PageReply{}
-	case KindDiffRequest:
-		m = &DiffRequest{}
-	case KindDiffReply:
-		m = &DiffReply{}
-	case KindBarrierEnter:
-		m = &BarrierEnter{}
-	case KindBarrierRelease:
-		m = &BarrierRelease{}
-	case KindLockAcquire:
-		m = &LockAcquire{}
-	case KindLockGrant:
-		m = &LockGrant{}
-	case KindLockRelease:
-		m = &LockRelease{}
-	case KindGCCollect:
-		m = &GCCollect{}
-	case KindAck:
-		m = &Ack{}
-	case KindSWRead:
-		m = &SWRead{}
-	case KindSWWrite:
-		m = &SWWrite{}
-	case KindSWDowngrade:
-		m = &SWDowngrade{}
-	case KindSWFlush:
-		m = &SWFlush{}
-	case KindSWInvalidate:
-		m = &SWInvalidate{}
-	case KindDiffBatchRequest:
-		m = &DiffBatchRequest{}
-	case KindDiffBatchReply:
-		m = &DiffBatchReply{}
-	case KindLockPull:
-		m = &LockPull{}
-	case KindReplicaDelta:
-		m = &ReplicaDelta{}
-	case KindRejoinRequest:
-		m = &RejoinRequest{}
-	case KindRejoinReply:
-		m = &RejoinReply{}
+	if n > len(c.buf)-c.off {
+		c.err = ErrTruncated
+		return nil
+	}
+	b := c.buf[c.off : c.off+n]
+	c.off += n
+	return b
+}
+
+func (c *codec) i32(v *int32) {
+	if c.mode == encoding { // the hot path, kept inlinable
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*v))
+		return
+	}
+	c.sizeOrRead32(v)
+}
+
+// sizeOrRead32 is i32 off the encode path. It stays out of line so
+// that i32 itself fits the inliner's budget.
+//
+//go:noinline
+func (c *codec) sizeOrRead32(v *int32) {
+	if c.mode == sizing {
+		c.n += 4
+	} else if b := c.next(4); b != nil {
+		*v = int32(binary.LittleEndian.Uint32(b))
+	}
+}
+
+// count walks a slice length n and returns the number of elements to
+// walk: n itself when sizing or encoding, the decoded count when
+// decoding. A decoded count is bounded by the bytes left, so corrupt
+// input cannot trigger huge allocations; after an error it is 0.
+func (c *codec) count(n int) int {
+	v := int32(n)
+	c.i32(&v)
+	if c.mode != decoding {
+		return n
+	}
+	if c.err != nil {
+		return 0
+	}
+	if left := len(c.buf) - c.off; v < 0 || int(v) > left {
+		c.err = fmt.Errorf("msg: bad length %d with %d bytes left", v, left)
+		return 0
+	}
+	return int(v)
+}
+
+// elems walks the count of *s and returns the slice whose elements the
+// caller walks next: *s itself, which decoding first allocates at the
+// decoded count (leaving it nil for a zero count when orNil is set).
+func elems[T any](c *codec, s *[]T, orNil bool) []T {
+	n := c.count(len(*s))
+	if c.mode == decoding && (n > 0 || !orNil) {
+		*s = make([]T, n)
+	}
+	return *s
+}
+
+// walker is a pointer to a slice element type with its own walk.
+type walker[T any] interface {
+	*T
+	walk(c *codec)
+}
+
+// list walks a counted slice of elements that walk themselves.
+func list[T any, P walker[T]](c *codec, s *[]T, orNil bool) {
+	es := elems(c, s, orNil)
+	for i := range es {
+		P(&es[i]).walk(c)
+	}
+}
+
+// i32s walks a counted []int32.
+func (c *codec) i32s(s *[]int32, orNil bool) {
+	if c.mode == sizing {
+		c.n += 4 + 4*len(*s)
+		return
+	}
+	vs := elems(c, s, orNil)
+	for i := range vs {
+		c.i32(&vs[i])
+	}
+}
+
+// bytes walks a length-prefixed byte field. Decoding copies the bytes
+// out of the input (a zero length decodes as an empty, non-nil slice),
+// so no decoded message aliases the buffer it came from.
+func (c *codec) bytes(b *[]byte) {
+	n := c.count(len(*b))
+	switch c.mode {
+	case sizing:
+		c.n += n
+	case encoding:
+		c.buf = append(c.buf, *b...)
 	default:
-		return nil, fmt.Errorf("msg: unknown kind %d", k)
-	}
-	if err := m.decodeBody(d); err != nil {
-		return nil, fmt.Errorf("msg: decode kind %d: %w", k, err)
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("msg: %d trailing bytes after kind %d", len(d.buf)-d.off, k)
-	}
-	return m, nil
-}
-
-// Size returns the encoded size of m in bytes. It is computed directly
-// from the message fields — previously this round-tripped a full Encode
-// just to take len, allocating an entire throwaway buffer per call on
-// the transport accounting path. TestSizeMatchesEncode pins the
-// equivalence with len(Encode(m)) for every message kind.
-func Size(m Message) int { return 1 + m.sizeBody() }
-
-// Size helpers mirroring the encoder's field layouts.
-
-// i32sSize is the wire size of a counted []int32.
-func i32sSize(n int) int { return 4 + 4*n }
-
-// bytesSize is the wire size of a counted byte field (nil encodes the
-// same as empty here; fields using the -1 nil marker cost 4 either way).
-func bytesSize(b []byte) int { return 4 + len(b) }
-
-// noticesSize is the wire size of a counted []Notice.
-func noticesSize(ns []Notice) int { return 4 + noticeWire*len(ns) }
-
-// pushesSize is the wire size of a counted []PushedDiff.
-func pushesSize(ps []PushedDiff) int {
-	n := 4
-	for _, pd := range ps {
-		n += 12 + bytesSize(pd.Diff)
-	}
-	return n
-}
-
-func (m *PageRequest) sizeBody() int { return 8 + noticesSize(m.Pending) }
-
-func (m *PageReply) sizeBody() int {
-	return 4 + bytesSize(m.Data) + i32sSize(len(m.AppliedVT))
-}
-
-func (m *DiffRequest) sizeBody() int { return 12 + i32sSize(len(m.Intervals)) }
-
-func (m *DiffReply) sizeBody() int {
-	n := 4 + 4
-	for _, df := range m.Diffs {
-		n += bytesSize(df) // nil → 4 (the -1 marker), same as empty
-	}
-	return n
-}
-
-func (m *BarrierEnter) sizeBody() int {
-	n := 12 + noticesSize(m.Notices) + i32sSize(len(m.Hot)) + i32sSize(len(m.Entered)) + 4
-	for _, h := range m.HotSets {
-		n += 4 + i32sSize(len(h.Pages))
-	}
-	return n
-}
-
-func (m *BarrierRelease) sizeBody() int {
-	n := 8 + noticesSize(m.Notices) + pushesSize(m.Push) + 4 + 8*len(m.Homes) + 4
-	for _, np := range m.Relay {
-		n += 4 + pushesSize(np.Push)
-	}
-	return n
-}
-
-func (m *LockAcquire) sizeBody() int { return 12 + i32sSize(len(m.Seen)) }
-
-func (m *LockGrant) sizeBody() int { return 16 + noticesSize(m.Notices) }
-
-func (m *LockRelease) sizeBody() int { return 12 + noticesSize(m.Notices) }
-
-func (m *GCCollect) sizeBody() int { return 4 }
-
-func (*Ack) sizeBody() int { return 0 }
-
-func (m *SWRead) sizeBody() int { return 8 }
-
-func (m *SWWrite) sizeBody() int { return 8 }
-
-func (m *SWDowngrade) sizeBody() int { return 4 }
-
-func (m *SWFlush) sizeBody() int { return 4 }
-
-func (m *SWInvalidate) sizeBody() int { return 4 }
-
-func (m *DiffBatchRequest) sizeBody() int {
-	n := 8 + 4
-	for _, pi := range m.Pages {
-		n += 4 + i32sSize(len(pi.Intervals))
-	}
-	return n
-}
-
-func (m *DiffBatchReply) sizeBody() int {
-	n := 4
-	for _, pd := range m.Pages {
-		n += 4 + 4
-		for _, df := range pd.Diffs {
-			n += bytesSize(df) // nil → 4 (the -1 marker)
-		}
-	}
-	return n
-}
-
-func (m *LockPull) sizeBody() int { return 12 + i32sSize(len(m.Seen)) }
-
-func (m *ReplicaDelta) sizeBody() int {
-	n := 16 + noticesSize(m.Notices) + 4 + noticesSize(m.Known)
-	for _, df := range m.Diffs {
-		n += bytesSize(df) // nil → 4 (the -1 marker)
-	}
-	return n
-}
-
-func (m *RejoinRequest) sizeBody() int { return 4 }
-
-func (m *RejoinReply) sizeBody() int {
-	return 8 + i32sSize(len(m.Seen)) + i32sSize(len(m.Homes))
-}
-
-func (m *PageRequest) encodeBody(e *encoder) {
-	e.i32(m.From)
-	e.i32(m.Page)
-	e.notices(m.Pending)
-}
-
-func (m *PageRequest) decodeBody(d *decoder) (err error) {
-	if m.From, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Page, err = d.i32(); err != nil {
-		return err
-	}
-	m.Pending, err = d.notices()
-	return err
-}
-
-func (m *PageReply) encodeBody(e *encoder) {
-	e.i32(m.Page)
-	e.bytes(m.Data)
-	e.i32(int32(len(m.AppliedVT)))
-	for _, v := range m.AppliedVT {
-		e.i32(v)
-	}
-}
-
-func (m *PageReply) decodeBody(d *decoder) (err error) {
-	if m.Page, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Data, err = d.bytes(); err != nil {
-		return err
-	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.AppliedVT = make([]int32, n)
-	for i := range m.AppliedVT {
-		if m.AppliedVT[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m *DiffRequest) encodeBody(e *encoder) {
-	e.i32(m.From)
-	e.i32(m.Page)
-	e.i32(m.Writer)
-	e.i32(int32(len(m.Intervals)))
-	for _, iv := range m.Intervals {
-		e.i32(iv)
-	}
-}
-
-func (m *DiffRequest) decodeBody(d *decoder) (err error) {
-	if m.From, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Page, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Writer, err = d.i32(); err != nil {
-		return err
-	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.Intervals = make([]int32, n)
-	for i := range m.Intervals {
-		if m.Intervals[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m *DiffReply) encodeBody(e *encoder) {
-	e.i32(m.Page)
-	e.i32(int32(len(m.Diffs)))
-	for _, df := range m.Diffs {
-		if df == nil {
-			e.i32(-1)
-			continue
-		}
-		e.bytes(df)
-	}
-}
-
-func (m *DiffReply) decodeBody(d *decoder) (err error) {
-	if m.Page, err = d.i32(); err != nil {
-		return err
-	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.Diffs = make([][]byte, n)
-	for i := range m.Diffs {
-		if m.Diffs[i], err = d.bytesOrNil(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m *BarrierEnter) encodeBody(e *encoder) {
-	e.i32(m.Node)
-	e.i32(m.Episode)
-	e.i32(m.Lam)
-	e.notices(m.Notices)
-	e.i32(int32(len(m.Hot)))
-	for _, p := range m.Hot {
-		e.i32(p)
-	}
-	e.i32(int32(len(m.Entered)))
-	for _, id := range m.Entered {
-		e.i32(id)
-	}
-	e.i32(int32(len(m.HotSets)))
-	for _, h := range m.HotSets {
-		e.i32(h.Node)
-		e.i32(int32(len(h.Pages)))
-		for _, p := range h.Pages {
-			e.i32(p)
+		if src := c.next(n); c.err == nil {
+			*b = make([]byte, n)
+			copy(*b, src)
 		}
 	}
 }
 
-func (m *BarrierEnter) decodeBody(d *decoder) (err error) {
-	if m.Node, err = d.i32(); err != nil {
-		return err
+// bytesOrNil walks a byte field whose nil value travels as length -1.
+func (c *codec) bytesOrNil(b *[]byte) {
+	switch {
+	case c.mode != decoding && *b == nil:
+		nilLen := int32(-1)
+		c.i32(&nilLen)
+	case c.mode == decoding && c.err == nil && len(c.buf)-c.off >= 4 &&
+		int32(binary.LittleEndian.Uint32(c.buf[c.off:])) == -1:
+		c.off += 4
+	default:
+		c.bytes(b)
 	}
-	if m.Episode, err = d.i32(); err != nil {
-		return err
+}
+
+// diffs walks a counted [][]byte whose nil entries mark diffs the
+// writer no longer stores.
+func (c *codec) diffs(s *[][]byte) {
+	ds := elems(c, s, always)
+	for i := range ds {
+		c.bytesOrNil(&ds[i])
 	}
-	if m.Lam, err = d.i32(); err != nil {
-		return err
+}
+
+// pushes walks an optional counted []PushedDiff.
+func (c *codec) pushes(s *[]PushedDiff) { list(c, s, nilEmpty) }
+
+// notices walks a counted []Notice. Sizing is O(1), and decoding bounds
+// the count by the whole notices the remaining bytes can hold.
+func (c *codec) notices(s *[]Notice) {
+	if c.mode == sizing {
+		c.n += 4 + noticeWire*len(*s)
+		return
 	}
-	if m.Notices, err = d.notices(); err != nil {
-		return err
-	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		m.Hot = make([]int32, n)
-		for i := range m.Hot {
-			if m.Hot[i], err = d.i32(); err != nil {
-				return err
-			}
+	n := c.count(len(*s))
+	if c.mode == decoding {
+		if c.err == nil && n > (len(c.buf)-c.off)/noticeWire {
+			c.err = fmt.Errorf("msg: bad notice count %d", n)
 		}
-	}
-	if n, err = d.length(); err != nil {
-		return err
-	}
-	if n > 0 {
-		m.Entered = make([]int32, n)
-		for i := range m.Entered {
-			if m.Entered[i], err = d.i32(); err != nil {
-				return err
-			}
+		if c.err != nil {
+			return
 		}
+		*s = make([]Notice, n)
 	}
-	if n, err = d.length(); err != nil {
-		return err
+	for i := range *s {
+		(*s)[i].walk(c)
 	}
-	if n > 0 {
-		m.HotSets = make([]NodeHot, n)
-		for i := range m.HotSets {
-			h := &m.HotSets[i]
-			if h.Node, err = d.i32(); err != nil {
-				return err
-			}
-			k, err := d.length()
-			if err != nil {
-				return err
-			}
-			h.Pages = make([]int32, k)
-			for j := range h.Pages {
-				if h.Pages[j], err = d.i32(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func (m *BarrierRelease) encodeBody(e *encoder) {
-	e.i32(m.Episode)
-	e.i32(m.Lam)
-	e.notices(m.Notices)
-	e.pushes(m.Push)
-	e.i32(int32(len(m.Homes)))
-	for _, ph := range m.Homes {
-		e.i32(ph.Page)
-		e.i32(ph.Home)
-	}
-	e.i32(int32(len(m.Relay)))
-	for _, np := range m.Relay {
-		e.i32(np.Node)
-		e.pushes(np.Push)
-	}
-}
-
-func (m *BarrierRelease) decodeBody(d *decoder) (err error) {
-	if m.Episode, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Lam, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Notices, err = d.notices(); err != nil {
-		return err
-	}
-	if m.Push, err = d.pushes(); err != nil {
-		return err
-	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		m.Homes = make([]PageHome, n)
-		for i := range m.Homes {
-			if m.Homes[i].Page, err = d.i32(); err != nil {
-				return err
-			}
-			if m.Homes[i].Home, err = d.i32(); err != nil {
-				return err
-			}
-		}
-	}
-	if n, err = d.length(); err != nil {
-		return err
-	}
-	if n > 0 {
-		m.Relay = make([]NodePush, n)
-		for i := range m.Relay {
-			if m.Relay[i].Node, err = d.i32(); err != nil {
-				return err
-			}
-			if m.Relay[i].Push, err = d.pushes(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (m *LockAcquire) encodeBody(e *encoder) {
-	e.i32(m.Node)
-	e.i32(m.Lock)
-	e.i32(m.Pos)
-	e.i32(int32(len(m.Seen)))
-	for _, s := range m.Seen {
-		e.i32(s)
-	}
-}
-
-func (m *LockAcquire) decodeBody(d *decoder) (err error) {
-	if m.Node, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Lock, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Pos, err = d.i32(); err != nil {
-		return err
-	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.Seen = make([]int32, n)
-	for i := range m.Seen {
-		if m.Seen[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m *LockGrant) encodeBody(e *encoder) {
-	e.i32(m.Lock)
-	e.i32(m.Lam)
-	e.i32(m.Pos)
-	e.i32(m.Holder)
-	e.notices(m.Notices)
-}
-
-func (m *LockGrant) decodeBody(d *decoder) (err error) {
-	if m.Lock, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Lam, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Pos, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Holder, err = d.i32(); err != nil {
-		return err
-	}
-	m.Notices, err = d.notices()
-	return err
-}
-
-func (m *LockRelease) encodeBody(e *encoder) {
-	e.i32(m.Node)
-	e.i32(m.Lock)
-	e.i32(m.Lam)
-	e.notices(m.Notices)
-}
-
-func (m *LockRelease) decodeBody(d *decoder) (err error) {
-	if m.Node, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Lock, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Lam, err = d.i32(); err != nil {
-		return err
-	}
-	m.Notices, err = d.notices()
-	return err
-}
-
-func (m *GCCollect) encodeBody(e *encoder) { e.i32(m.Page) }
-
-func (m *GCCollect) decodeBody(d *decoder) (err error) {
-	m.Page, err = d.i32()
-	return err
-}
-
-func (*Ack) encodeBody(*encoder) {}
-
-func (*Ack) decodeBody(*decoder) error { return nil }
-
-func (m *SWRead) encodeBody(e *encoder) {
-	e.i32(m.From)
-	e.i32(m.Page)
-}
-
-func (m *SWRead) decodeBody(d *decoder) (err error) {
-	if m.From, err = d.i32(); err != nil {
-		return err
-	}
-	m.Page, err = d.i32()
-	return err
-}
-
-func (m *SWWrite) encodeBody(e *encoder) {
-	e.i32(m.From)
-	e.i32(m.Page)
-}
-
-func (m *SWWrite) decodeBody(d *decoder) (err error) {
-	if m.From, err = d.i32(); err != nil {
-		return err
-	}
-	m.Page, err = d.i32()
-	return err
-}
-
-func (m *SWDowngrade) encodeBody(e *encoder) { e.i32(m.Page) }
-
-func (m *SWDowngrade) decodeBody(d *decoder) (err error) {
-	m.Page, err = d.i32()
-	return err
-}
-
-func (m *SWFlush) encodeBody(e *encoder) { e.i32(m.Page) }
-
-func (m *SWFlush) decodeBody(d *decoder) (err error) {
-	m.Page, err = d.i32()
-	return err
-}
-
-func (m *SWInvalidate) encodeBody(e *encoder) { e.i32(m.Page) }
-
-func (m *SWInvalidate) decodeBody(d *decoder) (err error) {
-	m.Page, err = d.i32()
-	return err
-}
-
-func (m *DiffBatchRequest) encodeBody(e *encoder) {
-	e.i32(m.From)
-	e.i32(m.Writer)
-	e.i32(int32(len(m.Pages)))
-	for _, pi := range m.Pages {
-		e.i32(pi.Page)
-		e.i32(int32(len(pi.Intervals)))
-		for _, iv := range pi.Intervals {
-			e.i32(iv)
-		}
-	}
-}
-
-func (m *DiffBatchRequest) decodeBody(d *decoder) (err error) {
-	if m.From, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Writer, err = d.i32(); err != nil {
-		return err
-	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.Pages = make([]PageIntervals, n)
-	for i := range m.Pages {
-		if m.Pages[i].Page, err = d.i32(); err != nil {
-			return err
-		}
-		k, err := d.length()
-		if err != nil {
-			return err
-		}
-		m.Pages[i].Intervals = make([]int32, k)
-		for j := range m.Pages[i].Intervals {
-			if m.Pages[i].Intervals[j], err = d.i32(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (m *DiffBatchReply) encodeBody(e *encoder) {
-	e.i32(int32(len(m.Pages)))
-	for _, pd := range m.Pages {
-		e.i32(pd.Page)
-		e.i32(int32(len(pd.Diffs)))
-		for _, df := range pd.Diffs {
-			if df == nil {
-				e.i32(-1)
-				continue
-			}
-			e.bytes(df)
-		}
-	}
-}
-
-func (m *DiffBatchReply) decodeBody(d *decoder) (err error) {
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.Pages = make([]PageDiffs, n)
-	for i := range m.Pages {
-		if m.Pages[i].Page, err = d.i32(); err != nil {
-			return err
-		}
-		k, err := d.length()
-		if err != nil {
-			return err
-		}
-		m.Pages[i].Diffs = make([][]byte, k)
-		for j := range m.Pages[i].Diffs {
-			if m.Pages[i].Diffs[j], err = d.bytesOrNil(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (m *LockPull) encodeBody(e *encoder) {
-	e.i32(m.Node)
-	e.i32(m.Lock)
-	e.i32(m.Holder)
-	e.i32(int32(len(m.Seen)))
-	for _, s := range m.Seen {
-		e.i32(s)
-	}
-}
-
-func (m *LockPull) decodeBody(d *decoder) (err error) {
-	if m.Node, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Lock, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Holder, err = d.i32(); err != nil {
-		return err
-	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.Seen = make([]int32, n)
-	for i := range m.Seen {
-		if m.Seen[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m *ReplicaDelta) encodeBody(e *encoder) {
-	e.i32(m.Origin)
-	e.i32(m.Seq)
-	e.i32(m.Interval)
-	e.i32(m.Lam)
-	e.notices(m.Notices)
-	e.i32(int32(len(m.Diffs)))
-	for _, df := range m.Diffs {
-		if df == nil {
-			e.i32(-1)
-			continue
-		}
-		e.bytes(df)
-	}
-	e.notices(m.Known)
-}
-
-func (m *ReplicaDelta) decodeBody(d *decoder) (err error) {
-	if m.Origin, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Seq, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Interval, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Lam, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Notices, err = d.notices(); err != nil {
-		return err
-	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.Diffs = make([][]byte, n)
-	for i := range m.Diffs {
-		if m.Diffs[i], err = d.bytesOrNil(); err != nil {
-			return err
-		}
-	}
-	m.Known, err = d.notices()
-	return err
-}
-
-func (m *RejoinRequest) encodeBody(e *encoder) { e.i32(m.Node) }
-
-func (m *RejoinRequest) decodeBody(d *decoder) (err error) {
-	m.Node, err = d.i32()
-	return err
-}
-
-func (m *RejoinReply) encodeBody(e *encoder) {
-	e.i32(m.Interval)
-	e.i32(m.Lam)
-	e.i32(int32(len(m.Seen)))
-	for _, s := range m.Seen {
-		e.i32(s)
-	}
-	e.i32(int32(len(m.Homes)))
-	for _, h := range m.Homes {
-		e.i32(h)
-	}
-}
-
-func (m *RejoinReply) decodeBody(d *decoder) (err error) {
-	if m.Interval, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Lam, err = d.i32(); err != nil {
-		return err
-	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.Seen = make([]int32, n)
-	for i := range m.Seen {
-		if m.Seen[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	if n, err = d.length(); err != nil {
-		return err
-	}
-	m.Homes = make([]int32, n)
-	for i := range m.Homes {
-		if m.Homes[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type encoder struct{ buf []byte }
-
-func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
-
-func (e *encoder) i32(v int32) {
-	e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func (e *encoder) bytes(b []byte) {
-	e.i32(int32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-func (e *encoder) notices(ns []Notice) {
-	e.i32(int32(len(ns)))
-	for _, n := range ns {
-		e.i32(n.Page)
-		e.i32(n.Writer)
-		e.i32(n.Interval)
-		e.i32(n.Lam)
-	}
-}
-
-func (e *encoder) pushes(ps []PushedDiff) {
-	e.i32(int32(len(ps)))
-	for _, pd := range ps {
-		e.i32(pd.Page)
-		e.i32(pd.Writer)
-		e.i32(pd.Interval)
-		e.bytes(pd.Diff)
-	}
-}
-
-type decoder struct {
-	buf []byte
-	off int
-}
-
-func (d *decoder) u8() (uint8, error) {
-	if d.off >= len(d.buf) {
-		return 0, ErrTruncated
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *decoder) i32() (int32, error) {
-	if d.off+4 > len(d.buf) {
-		return 0, ErrTruncated
-	}
-	b := d.buf[d.off:]
-	d.off += 4
-	return int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24), nil
-}
-
-// length reads a non-negative element count, bounding it by the remaining
-// buffer so corrupt input cannot trigger huge allocations.
-func (d *decoder) length() (int, error) {
-	v, err := d.i32()
-	if err != nil {
-		return 0, err
-	}
-	if v < 0 || int(v) > len(d.buf)-d.off {
-		return 0, fmt.Errorf("msg: bad length %d with %d bytes left", v, len(d.buf)-d.off)
-	}
-	return int(v), nil
-}
-
-func (d *decoder) bytes() ([]byte, error) {
-	n, err := d.length()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+n])
-	d.off += n
-	return out, nil
-}
-
-// bytesOrNil decodes a byte field where length -1 encodes nil.
-func (d *decoder) bytesOrNil() ([]byte, error) {
-	save := d.off
-	v, err := d.i32()
-	if err != nil {
-		return nil, err
-	}
-	if v == -1 {
-		return nil, nil
-	}
-	d.off = save
-	return d.bytes()
-}
-
-// pushes decodes a counted []PushedDiff, returning nil for a zero count
-// so decode-then-reencode is canonical.
-func (d *decoder) pushes() ([]PushedDiff, error) {
-	n, err := d.length()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]PushedDiff, n)
-	for i := range out {
-		pd := &out[i]
-		if pd.Page, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if pd.Writer, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if pd.Interval, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if pd.Diff, err = d.bytes(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (d *decoder) notices() ([]Notice, error) {
-	n, err := d.length()
-	if err != nil {
-		return nil, err
-	}
-	// Re-bound the count with the tighter per-notice element size.
-	if n > (len(d.buf)-d.off)/noticeWire {
-		return nil, fmt.Errorf("msg: bad notice count %d", n)
-	}
-	out := make([]Notice, n)
-	for i := range out {
-		if out[i].Page, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if out[i].Writer, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if out[i].Interval, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if out[i].Lam, err = d.i32(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -12,7 +12,7 @@ package transport
 // serialized discipline a pair admits one outstanding call, so the
 // injected per-request service hold (HoldUS) serializes behind each
 // connection; under the mux, calls pipeline and the holds overlap up to
-// MuxWorkers per connection. The throughput ratio therefore measures
+// muxWorkers per connection. The throughput ratio therefore measures
 // schedule overlap — stable on single-core CI runners — rather than the
 // benchmark host's core count (same device as the hotpath gate's
 // ServiceHoldUS).

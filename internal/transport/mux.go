@@ -26,11 +26,14 @@ import (
 //
 // Wire format after the 4-byte "ACTM" dial preamble:
 //
-//	request: [u32 plen][u32 id][u32 meta][payload]   meta = from | 1<<31 (deflated)
-//	reply:   [u32 plen][u32 id][u8 status][payload]  status |= 0x80 (deflated)
+//	request: [u32 plen][u32 id][u32 from][payload]
+//	reply:   [u32 plen][u32 id][u8 status][payload]
 //
-// The status low bits are the same tcpOK/tcpErr* values the serialized
-// discipline uses, so sentinel errors survive the wire identically.
+// The status byte carries the same tcpOK/tcpErr* values the serialized
+// discipline uses, so sentinel errors survive the wire identically. A
+// request whose from is not a node, or a reply whose status is not one
+// of those values, is malformed: the server answers the former with an
+// error reply, and the client drops the stream on the latter.
 
 // Dial-time preambles selecting the server-side serve loop.
 var (
@@ -38,12 +41,9 @@ var (
 	serialPreamble = [4]byte{'A', 'C', 'T', 'S'}
 )
 
-const (
-	// muxCompressed flags a deflated reply payload in the status byte.
-	muxCompressed = byte(0x80)
-	// muxCompressed32 flags a deflated request payload in the meta word.
-	muxCompressed32 = uint32(1) << 31
-)
+// muxWorkers bounds concurrent handler executions per inbound
+// multiplexed connection (the server-side pipelining depth).
+const muxWorkers = 8
 
 // timeoutError marks a call that exceeded Options.CallTimeout on the
 // multiplexed discipline. It implements net.Error with Timeout() true so
@@ -233,20 +233,9 @@ type muxConn struct {
 // pending entry and sends on p.ch. Every exit path below therefore ends
 // in one receive from p.ch, and the pooled entry is never left armed.
 func (m *muxConn) roundTrip(payload []byte) ([]byte, error) {
-	meta := uint32(m.from)
-	body := payload
-	if min := m.t.opts.CompressMin; min > 0 && len(payload) >= min {
-		if c, ok := deflateFrame(payload); ok {
-			body = c
-			meta |= muxCompressed32
-		}
-	}
 	frame := msg.GetBuf()
-	frame = appendMuxReqHdr(frame, uint32(len(body)), 0, meta) // id patched below
-	frame = append(frame, body...)
-	if meta&muxCompressed32 != 0 {
-		msg.PutBuf(body) // compression scratch, now copied into the frame
-	}
+	frame = appendMuxReqHdr(frame, uint32(len(payload)), 0, uint32(m.from)) // id patched below
+	frame = append(frame, payload...)
 	p := muxPendingPool.Get().(*muxPending)
 	m.mu.Lock()
 	if m.dead {
@@ -305,22 +294,12 @@ func (m *muxConn) finish(p *muxPending, r muxResult) ([]byte, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	status, body := r.status, r.body
-	if status&muxCompressed != 0 {
-		status &^= muxCompressed
-		dec, err := inflateFrame(body)
-		msg.PutBuf(body)
-		if err != nil {
-			return nil, fmt.Errorf("transport: reply from node %d: %w", m.to, err)
-		}
-		body = dec
-	}
-	if status != tcpOK {
-		err := &RemoteError{Node: m.to, Sentinel: sentinelFor(status), Msg: string(body)}
-		msg.PutBuf(body)
+	if r.status != tcpOK {
+		err := &RemoteError{Node: m.to, Sentinel: sentinelFor(r.status), Msg: string(r.body)}
+		msg.PutBuf(r.body)
 		return nil, err
 	}
-	return body, nil
+	return r.body, nil
 }
 
 // readLoop matches reply frames to pending calls by ID.
@@ -337,6 +316,10 @@ func (m *muxConn) readLoop() {
 		status := hdr[8]
 		if n > maxFrame {
 			m.fail(fmt.Errorf("transport: bad reply length %d", n))
+			return
+		}
+		if status > tcpErrNodeDown {
+			m.fail(fmt.Errorf("transport: malformed reply status %#x", status))
 			return
 		}
 		body := getFrameBuf(int(n))
@@ -451,18 +434,16 @@ func (t *TCP) removeMux(from, to int, m *muxConn) {
 // serveMux is the server half of a multiplexed stream: the read loop
 // fans requests out to a bounded worker pool, and a shared writer
 // batches the (possibly out-of-order) reply frames into vectored
-// writes. Worker count bounds concurrent handler executions per
-// connection (Options.MuxWorkers).
+// writes. muxWorkers bounds concurrent handler executions per
+// connection.
 func (t *TCP) serveMux(conn net.Conn, h Handler) {
 	type muxReq struct {
-		id         uint32
-		from       int
-		compressed bool
-		payload    []byte
+		id      uint32
+		from    uint32
+		payload []byte
 	}
-	workers := t.opts.muxWorkers()
-	work := make(chan muxReq, workers)
-	out := make(chan []byte, workers)
+	work := make(chan muxReq, muxWorkers)
+	out := make(chan []byte, muxWorkers)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -477,13 +458,13 @@ func (t *TCP) serveMux(conn net.Conn, h Handler) {
 		}
 	}()
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	wg.Add(muxWorkers)
+	for i := 0; i < muxWorkers; i++ {
 		go func() {
 			defer wg.Done()
 			for r := range work {
 				t.hb.Add(1) // acquire the caller's send clock (see hb)
-				f := t.muxReply(h, r.from, r.id, r.payload, r.compressed)
+				f := t.muxReply(h, r.from, r.id, r.payload)
 				t.hb.Add(1) // release the handler's effects to the caller
 				out <- f
 			}
@@ -496,7 +477,7 @@ func (t *TCP) serveMux(conn net.Conn, h Handler) {
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		id := binary.LittleEndian.Uint32(hdr[4:8])
-		meta := binary.LittleEndian.Uint32(hdr[8:12])
+		from := binary.LittleEndian.Uint32(hdr[8:12])
 		if n > maxFrame {
 			break
 		}
@@ -506,12 +487,7 @@ func (t *TCP) serveMux(conn net.Conn, h Handler) {
 			break
 		}
 		t.wireIn.Add(int64(len(hdr)) + int64(n))
-		work <- muxReq{
-			id:         id,
-			from:       int(meta &^ muxCompressed32),
-			compressed: meta&muxCompressed32 != 0,
-			payload:    payload,
-		}
+		work <- muxReq{id: id, from: from, payload: payload}
 	}
 	close(work)
 	wg.Wait()
@@ -522,16 +498,12 @@ func (t *TCP) serveMux(conn net.Conn, h Handler) {
 // muxReply runs the handler for one request and builds its reply frame.
 // It consumes the pooled payload and the handler's reply (see the
 // Handler buffer-ownership contract).
-func (t *TCP) muxReply(h Handler, from int, id uint32, payload []byte, compressed bool) []byte {
-	if compressed {
-		dec, err := inflateFrame(payload)
+func (t *TCP) muxReply(h Handler, from, id uint32, payload []byte) []byte {
+	if int(from) >= len(t.addrs) {
 		msg.PutBuf(payload)
-		if err != nil {
-			return muxErrFrame(id, fmt.Errorf("transport: request decompress: %w", err))
-		}
-		payload = dec
+		return muxErrFrame(id, fmt.Errorf("transport: malformed request frame: sender %#x is not a node", from))
 	}
-	reply, err := h(from, payload)
+	reply, err := h(int(from), payload)
 	if err == nil && 1+len(reply) > maxFrame {
 		// Same policy as the serialized discipline: replace the
 		// oversized reply with a structured, sentinel-preserving error
@@ -542,20 +514,9 @@ func (t *TCP) muxReply(h Handler, from int, id uint32, payload []byte, compresse
 		msg.PutBuf(payload)
 		return muxErrFrame(id, err)
 	}
-	status := byte(tcpOK)
-	out := reply
-	if min := t.opts.CompressMin; min > 0 && len(reply) >= min {
-		if c, ok := deflateFrame(reply); ok {
-			out = c
-			status |= muxCompressed
-		}
-	}
 	frame := msg.GetBuf()
-	frame = appendMuxReplyHdr(frame, uint32(len(out)), id, status)
-	frame = append(frame, out...)
-	if status&muxCompressed != 0 {
-		msg.PutBuf(out) // compression scratch; reply recycled below
-	}
+	frame = appendMuxReplyHdr(frame, uint32(len(reply)), id, tcpOK)
+	frame = append(frame, reply...)
 	if sameBase(reply, payload) {
 		msg.PutBuf(payload) // echo: one buffer, one recycle
 	} else {

@@ -3,13 +3,15 @@ package transport
 // Concurrency suite for the multiplexed wire discipline. Everything
 // here is meant to run under -race: pipelined calls from many
 // goroutines, deliberately interleaved replies, a connection torn down
-// mid-pipeline, chaos faults over the mux, and the wire-level
-// compression path. The serialized-discipline analogues live in
-// resilience_test.go.
+// mid-pipeline, chaos faults over the mux, and malformed frames. The
+// serialized-discipline analogues live in resilience_test.go.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"strings"
 	"sync"
@@ -214,71 +216,94 @@ func TestMuxChaosDropDelay(t *testing.T) {
 	}
 }
 
-// TestMuxCompressionShrinksWire sends highly compressible payloads with
-// CompressMin set and checks the transport's frame-level byte counters:
-// the wire must carry far fewer bytes than the payloads, and the echoes
-// must survive the deflate/inflate round trip intact.
-func TestMuxCompressionShrinksWire(t *testing.T) {
-	tr, err := NewTCPWithOptions(echoHandlers(2), Options{CompressMin: 64})
+// TestMuxRejectsMalformedRequest sends raw request frames whose sender
+// word is not a node — the shape a frame carrying the old per-frame
+// compression bit (1<<31) has — and requires an error reply for each,
+// with the stream still serving a valid request afterwards.
+func TestMuxRejectsMalformedRequest(t *testing.T) {
+	tr, err := NewTCP(echoHandlers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = tr.Close() }()
-	payload := bytes.Repeat([]byte("actdsm"), 700) // 4200 bytes, ratio >> 2
-	sent0, recv0 := tr.WireBytes()
-	const calls = 20
-	for i := 0; i < calls; i++ {
-		got, err := tr.Call(0, 1, payload)
-		if err != nil {
+	conn, err := net.Dial("tcp", tr.addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	if _, err := conn.Write(muxPreamble[:]); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func(id, from uint32, payload string) (byte, string) {
+		t.Helper()
+		if _, err := conn.Write(append(appendMuxReqHdr(nil, uint32(len(payload)), id, from), payload...)); err != nil {
 			t.Fatal(err)
 		}
-		if !strings.HasPrefix(string(got), "n1<-0:") || !bytes.Equal(got[6:], payload) {
-			t.Fatalf("call %d: corrupted echo (len %d)", i, len(got))
+		var hdr [9]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.Fatal(err)
 		}
-		msg.PutBuf(got)
+		if got := binary.LittleEndian.Uint32(hdr[4:8]); got != id {
+			t.Fatalf("reply id %d, want %d", got, id)
+		}
+		body := make([]byte, binary.LittleEndian.Uint32(hdr[0:4]))
+		if _, err := io.ReadFull(conn, body); err != nil {
+			t.Fatal(err)
+		}
+		return hdr[8], string(body)
 	}
-	sent, recv := tr.WireBytes()
-	wire := (sent - sent0) + (recv - recv0)
-	raw := int64(calls * 2 * len(payload)) // request + reply, each counted once per side
-	if wire >= raw {
-		t.Fatalf("compression did not shrink the wire: %d bytes for %d raw", wire, raw)
+	for i, from := range []uint32{1 << 31, 1<<31 | 1, 2, 1 << 20} {
+		status, body := roundTrip(uint32(i), from, "x")
+		if status != tcpErr || !strings.Contains(body, "malformed") {
+			t.Fatalf("from %#x: status %d body %q, want a malformed-frame error", from, status, body)
+		}
 	}
-	t.Logf("wire bytes: %d for %d raw payload bytes", wire, raw)
+	if status, body := roundTrip(9, 0, "ok"); status != tcpOK || body != "n1<-0:ok" {
+		t.Fatalf("valid request after malformed ones: status %d body %q", status, body)
+	}
 }
 
-// TestMuxSingleWorkerStillCorrect pins MuxWorkers: 1 — handler
-// execution serializes server-side, but pipelining and reply matching
-// must still hold.
-func TestMuxSingleWorkerStillCorrect(t *testing.T) {
-	tr, err := NewTCPWithOptions(echoHandlers(2), Options{MuxWorkers: 1})
+// TestMuxRejectsMalformedReply points a client at a fake server that
+// answers with a reply status outside the protocol's values (here the
+// old compression bit over tcpOK): the call must fail rather than hand
+// the body back as a successful reply.
+func TestMuxRejectsMalformedReply(t *testing.T) {
+	tr, err := NewTCP(echoHandlers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = tr.Close() }()
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				req := fmt.Sprintf("w%d-i%d", w, i)
-				got, err := tr.Call(0, 1, []byte(req))
-				if err != nil {
-					errs <- err
-					return
-				}
-				if want := "n1<-0:" + req; string(got) != want {
-					errs <- fmt.Errorf("got %q, want %q", got, want)
-					return
-				}
-			}
-		}(w)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	defer func() { _ = ln.Close() }()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		var pre [4]byte
+		var hdr [12]byte
+		if _, err := io.ReadFull(conn, pre[:]); err != nil {
+			return
+		}
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			return
+		}
+		body := make([]byte, binary.LittleEndian.Uint32(hdr[0:4]))
+		if _, err := io.ReadFull(conn, body); err != nil {
+			return
+		}
+		id := binary.LittleEndian.Uint32(hdr[4:8])
+		_, _ = conn.Write(append(appendMuxReplyHdr(nil, uint32(len(body)), id, 0x80|tcpOK), body...))
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+	tr.addrs[1] = ln.Addr().String()
+	got, err := tr.Call(0, 1, []byte("payload"))
+	if err == nil || !strings.Contains(err.Error(), "malformed reply status") {
+		t.Fatalf("Call = %q, %v; want a malformed-reply error", got, err)
 	}
 }
 
@@ -317,7 +342,7 @@ func TestMuxChaosSoak(t *testing.T) {
 		dur = d
 	}
 	const nodes, callers = 4, 24
-	base, err := NewTCPWithOptions(echoHandlers(nodes), Options{CompressMin: 256})
+	base, err := NewTCP(echoHandlers(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +361,7 @@ func TestMuxChaosSoak(t *testing.T) {
 	var calls atomic.Int64
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
-	big := strings.Repeat("actdsm-soak-", 64) // compressible tail past CompressMin
+	big := strings.Repeat("actdsm-soak-", 64) // a multi-segment payload tail
 	for w := 0; w < callers; w++ {
 		wg.Add(1)
 		go func(w int) {

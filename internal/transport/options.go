@@ -25,9 +25,6 @@ type Options struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the exponential backoff. Defaults to 50ms.
 	BackoffMax time.Duration
-	// JitterSeed seeds the deterministic jitter generator (sim.RNG);
-	// each sleep is uniform in [backoff/2, backoff). Defaults to 1.
-	JitterSeed uint64
 	// OnRetry, if non-nil, is invoked before each retry sleep with the
 	// 1-based number of the attempt that just failed. It must not
 	// block; the DSM layer uses it to count retries per message type.
@@ -41,27 +38,11 @@ type Options struct {
 	// kept as the transport benchmark's baseline (BENCH_transport.json)
 	// and as a conservative fallback.
 	Serialized bool
-	// CompressMin, when positive, deflate-compresses multiplexed frame
-	// payloads of at least this many bytes (both requests and replies;
-	// in the DSM's traffic only diff, page, and push payloads reach
-	// realistic thresholds). Compression trades CPU and a few
-	// allocations per large frame for wire bytes, so it pays on
-	// constrained links, not on loopback. 0 disables it. The serialized
-	// discipline ignores the knob.
-	CompressMin int
-	// MuxWorkers bounds concurrent handler executions per inbound
-	// multiplexed connection (the server-side pipelining depth). 0
-	// selects the default (8).
-	MuxWorkers int
 }
 
-// muxWorkers returns the effective MuxWorkers value.
-func (o Options) muxWorkers() int {
-	if o.MuxWorkers > 0 {
-		return o.MuxWorkers
-	}
-	return 8
-}
+// jitterSeed seeds the retry wrapper's deterministic jitter generator
+// (sim.RNG); each backoff sleep is uniform in [backoff/2, backoff).
+const jitterSeed = 1
 
 // withDefaults fills zero fields with the documented defaults.
 func (o Options) withDefaults() Options {
@@ -73,9 +54,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BackoffMax < o.BackoffBase {
 		o.BackoffMax = o.BackoffBase
-	}
-	if o.JitterSeed == 0 {
-		o.JitterSeed = 1
 	}
 	return o
 }
@@ -95,7 +73,7 @@ func WithRetry(inner Transport, o Options) Transport {
 		return inner
 	}
 	o = o.withDefaults()
-	return &retrier{inner: inner, o: o, rng: sim.NewRNG(o.JitterSeed)}
+	return &retrier{inner: inner, o: o, rng: sim.NewRNG(jitterSeed)}
 }
 
 // retrier is the WithRetry implementation.

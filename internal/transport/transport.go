@@ -273,8 +273,8 @@ func NewTCP(handlers []Handler) (*TCP, error) {
 	return NewTCPWithOptions(handlers, Options{})
 }
 
-// NewTCPWithOptions is NewTCP with explicit resilience options. Only
-// CallTimeout applies at this layer (a deadline covering one round trip);
+// NewTCPWithOptions is NewTCP with explicit options. Only CallTimeout (a
+// deadline covering one round trip) and Serialized apply at this layer;
 // retry and backoff are layered on by WithRetry so they also cover
 // redialing after a drop.
 func NewTCPWithOptions(handlers []Handler, opts Options) (*TCP, error) {
